@@ -55,13 +55,13 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "coordination-store data directory (empty: in-memory only)")
 		syncFlag      = flag.String("sync", "always", "WAL fsync policy with -data-dir: always|none")
 		snapEvery     = flag.Int("snapshot-every", 4096, "store writes between snapshots with -data-dir")
-		batchOps      = flag.Int("batch-max-ops", 32, "pipeline group-commit batch size (1 disables batching, 0 selects the default 32)")
+		batchOps      = flag.Int("batch-max-ops", 32, "pipeline group-commit batch size (1 runs batches of one, 0 selects the default 32)")
 		batchDelay    = flag.Duration("batch-max-delay", 2*time.Millisecond, "async batch flush-latency ceiling")
 		workerClaim   = flag.Int("worker-claim", 4, "phyQ items one worker thread claims per store round trip")
 		shards        = flag.Int("shards", 1, "consistent-hash store partitions, each with its own ensemble, controllers, and workers (see docs/sharding.md)")
 		crossShard    = flag.Bool("cross-shard", true, "execute submissions spanning shards as atomic two-phase-commit transactions; false rejects them with shard.cross_shard (see docs/cross-shard.md)")
 		xshardTO      = flag.Duration("xshard-prepare-timeout", 10*time.Second, "cross-shard vote-collection deadline before an in-doubt transaction aborts")
-		xshardFast    = flag.Bool("xshard-fastpath", true, "coalesced cross-shard 2PC message flow (local-child coalescing, piggybacked decisions, per-peer batching, wound-wait); false restores per-message round trips (see docs/cross-shard.md)")
+		xshardFast    = flag.Bool("xshard-fastpath", true, "coalesced cross-shard 2PC message flow (local-child coalescing, piggybacked decisions, per-peer batching); false restores per-message round trips (see docs/cross-shard.md)")
 		maxInflight   = flag.Int("max-inflight", 0, "per-shard admission watermark: shed submissions (HTTP 429, api.overloaded) once a shard's queued backlog reaches this (0 disables; see docs/observability.md)")
 		followerReads = flag.Bool("follower-reads", true, "serve watermarked reads from caught-up follower replicas instead of the shard leader (see docs/reads.md)")
 		readCache     = flag.Int64("read-cache-bytes", 32<<20, "per-shard watch-invalidated read cache budget in bytes (0 disables caching)")
@@ -141,7 +141,7 @@ func main() {
 		logger.Printf("pipeline: group commit on (batch-max-ops=%d batch-max-delay=%.3gms worker-claim=%d)",
 			info.BatchMaxOps, info.BatchMaxDelayMs, info.WorkerClaimBatch)
 	} else {
-		logger.Printf("pipeline: group commit OFF (per-item round trips)")
+		logger.Printf("pipeline: batches of one (one item per controller round, client and worker batchers off)")
 	}
 	if n := p.NumShards(); n > 1 {
 		if info := p.PipelineInfo(); info.CrossShard {

@@ -61,9 +61,9 @@ type Config struct {
 	// round; the round's grouped Multi carries those items' staged
 	// effects plus the scheduling pass's admissions, typically a few ops
 	// per item (Stats.MaxFlushOps reports the realized sizes). Values
-	// ≤ 1 disable batching: the leader processes one item per round with
-	// one store round trip per effect, exactly the pre-batching pipeline
-	// (kept runnable for the ablation benchmarks).
+	// ≤ 1 drain one item per round through the same staged handlers — a
+	// batch of one, with one grouped commit per item (the ablation
+	// benchmarks' unbatched arm).
 	BatchMaxOps int
 	// XShard wires the controller into the cross-shard transaction
 	// layer: as coordinator for parents whose plan names this shard
@@ -89,7 +89,9 @@ const (
 	// ScheduleFIFO is the paper's policy: a transaction deferred on a
 	// resource conflict returns to the front of todoQ and scheduling
 	// stalls until the next event — simple and fair, but one conflicted
-	// transaction head-of-line-blocks everything behind it.
+	// transaction head-of-line-blocks everything behind it. Cross-shard
+	// children are the exception: they are still tried behind a deferred
+	// head (see scheduleWalk).
 	ScheduleFIFO SchedulingPolicy = iota
 	// ScheduleAggressive is the §3.1.1 future-work strategy: when the
 	// head defers, the scheduler keeps going and tries the transactions
@@ -122,16 +124,18 @@ type Stats struct {
 	// Rollbacks counts logical rollbacks performed.
 	Rollbacks int64
 
-	// Batch-pipeline counters (zero when BatchMaxOps ≤ 1).
+	// Batch-pipeline counters.
 	//
-	// InBatches counts inputQ drain rounds and InBatchItems the items
-	// they carried; their ratio is the achieved event-batch size.
+	// InBatches counts event rounds that drained input (inputQ items or
+	// locally-delivered cross-shard messages) and InBatchItems the items
+	// they carried; their ratio is the achieved event-batch size (1 when
+	// BatchMaxOps ≤ 1).
 	InBatches    int64
 	InBatchItems int64
 	// MaxInBatch is the largest single drain.
 	MaxInBatch int64
-	// Flushes counts grouped Multi commits (staged accepts/cleanups and
-	// admission rounds), FlushedOps the store operations they carried,
+	// Flushes counts grouped Multi commits (one per round with staged
+	// effects), FlushedOps the store operations they carried,
 	// and MaxFlushOps the largest single flush.
 	Flushes     int64
 	FlushedOps  int64
@@ -161,7 +165,7 @@ type ctrlInstruments struct {
 	// Fast-path (coalesced 2PC message flow) instruments.
 	xLocalKids *metrics.Counter         // coordinator-local children coalesced into the parent's accept
 	xPiggy     *metrics.Counter         // decisions delivered without a decide-notice round trip
-	xWounds    *metrics.Counter         // wound-wait aborts written to peer coordinator records
+	xWounds    *metrics.Counter         // wound-wait vote retractions written to coordinator records
 	xPeerBatch *metrics.BucketHistogram // store ops per per-peer fan-out Multi
 }
 
@@ -202,7 +206,7 @@ func newCtrlInstruments(reg *metrics.Registry, shard string) ctrlInstruments {
 			"2PC decisions applied without a decide-notice round trip: read off the parent record by the vote-ack watch, or delivered in memory to a coordinator-local child (fast path).",
 			"shard").With(shard),
 		xWounds: reg.CounterVec("tropic_xshard_wounds_total",
-			"Wound-wait resolutions: abort decisions this participant wrote into peer coordinator records to break cross-shard lock-order inversions (fast path).",
+			"Wound-wait resolutions: prepared children's votes this participant retracted in their coordinator records, releasing their locks to an older cross-shard transaction.",
 			"shard").With(shard),
 		xPeerBatch: reg.HistogramVec("tropic_xshard_peer_batch_ops",
 			"Store operations carried by one per-peer cross-shard fan-out Multi (fast path).",
@@ -238,9 +242,6 @@ type Controller struct {
 	// locks awaiting the coordinator's 2PC decision. Like inFlight, it
 	// is leader-only state rebuilt by recover().
 	prepared map[string]*txn.Txn
-	// admitPending holds runnable transactions staged by the current
-	// scheduling round, group-committed by flushAdmissions.
-	admitPending []*txn.Txn
 
 	stats     Stats
 	met       ctrlInstruments
@@ -257,9 +258,13 @@ type Controller struct {
 	xTimes map[string]*xPhaseClock
 
 	// xmu guards the lazily-connected peer-shard sessions used by the
-	// cross-shard layer.
-	xmu    sync.Mutex
-	xpeers map[int]*store.Client
+	// cross-shard layer and the pending prepare-deadline timers, which
+	// Kill and Close stop (xStopped refuses new ones) so a stopped
+	// controller is not kept reachable until its deadlines fire.
+	xmu      sync.Mutex
+	xpeers   map[int]*store.Client
+	xTimers  map[*time.Timer]struct{}
+	xStopped bool
 
 	// lmu guards localMsgs, the in-memory cross-shard messages the fast
 	// path delivers to this controller's own leader loop (a coordinator-
@@ -269,12 +274,15 @@ type Controller struct {
 	localMsgs []proto.InputMsg
 	localWake chan struct{}
 
-	// Leader-goroutine-only fast-path round state: resched asks
-	// processRound for a post-flush scheduling pass (a coordinator-local
-	// child joined todoQ mid-round); peerCollect/peerSends stage
-	// cross-shard sends so every message bound for one peer in a round
-	// rides a single Multi through that peer's batcher.
+	// Leader-goroutine-only round state: resched asks for a scheduling
+	// pass after the round's flush (a coordinator-local child joined
+	// todoQ, a decision freed locks, or a failed flush requeued work);
+	// replay counts the single-item rounds still owed to the items of a
+	// failed round; peerCollect/peerSends stage cross-shard sends so
+	// every message bound for one peer in a round rides a single Multi
+	// through that peer's batcher.
 	resched     bool
+	replay      int
 	peerCollect bool
 	peerSends   map[int][]peerSend
 
@@ -446,10 +454,9 @@ func (c *Controller) Stats() Stats {
 // atomically with the persistent effects of processing it, so a leader
 // crash at any point neither loses nor double-applies a message.
 //
-// With batching enabled (BatchMaxOps > 1) the loop drains up to
-// BatchMaxOps items per event round, stages their persistent effects,
-// and commits the round in one grouped Multi; the scheduling pass that
-// follows group-commits every admitted transaction the same way. Under a
+// Every event round drains up to BatchMaxOps items (one when
+// BatchMaxOps ≤ 1), stages their persistent effects and the scheduling
+// pass's admissions, and commits the round in one grouped Multi. Under a
 // backlog this amortizes the store round trip that otherwise dominates
 // per-transaction cost (§6.1) across the whole batch — the queues fill
 // while a flush is in flight, so the pipeline is self-clocking.
@@ -461,7 +468,7 @@ func (c *Controller) lead(ctx context.Context) error {
 	// failures instead of hot-looping at a flat 1ms.
 	backoff := time.Duration(0)
 	for {
-		items, err := c.takeInput(ctx)
+		locals, items, err := c.takeInput(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -469,10 +476,10 @@ func (c *Controller) lead(ctx context.Context) error {
 			return err
 		}
 		start := time.Now()
-		c.noteInBatch(len(items))
-		roundErr := c.processRound(items)
+		c.noteInBatch(len(locals) + len(items))
+		roundErr := c.processRound(locals, items)
 		if roundErr != nil {
-			if errors.Is(roundErr, store.ErrSessionExpired) || errors.Is(roundErr, store.ErrNoQuorum) {
+			if errFatal(roundErr) {
 				return roundErr
 			}
 			if backoff == 0 {
@@ -497,14 +504,25 @@ func (c *Controller) lead(ctx context.Context) error {
 	}
 }
 
-// takeInput blocks for the leader's next work source: drained inputQ
-// items, or locally-delivered (in-memory) cross-shard messages, whichever
-// is ready first. Local messages exist only on the fast path; a pending
-// one wakes the drain out of its store watch via localWake, and the
-// round that follows folds it in ahead of the store items.
-func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
-	if c.localsPending() {
-		return nil, nil
+// takeInput blocks for the leader's next round of input:
+// locally-delivered (in-memory) cross-shard messages when any are
+// pending, drained inputQ items otherwise, at most batchMax items in
+// all. A pending local message wakes the drain out of its store watch
+// via localWake. It returns at once, possibly empty, while a failed
+// round's requeued todoQ work awaits a scheduling pass; and while
+// replay is owed after a failed round, it drains one item per round.
+func (c *Controller) takeInput(ctx context.Context) (locals []proto.InputMsg, items []queue.Item, err error) {
+	n := c.batchMax()
+	if c.replay > 0 {
+		n = 1
+		defer func() {
+			if len(locals)+len(items) > 0 {
+				c.replay--
+			}
+		}()
+	}
+	if locals = c.takeLocal(n); len(locals) > 0 || (c.resched && len(c.todo) > 0) {
+		return locals, nil, nil
 	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -513,19 +531,29 @@ func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
 	go func() {
 		select {
 		case <-c.localWake:
-			cancel()
+			select {
+			case <-stop:
+				// This take already returned: the token belongs to the
+				// next one, which may be blocked in the store drain with
+				// the message pending.
+				c.wakeLocal()
+			default:
+				cancel()
+			}
 		case <-stop:
 		}
 	}()
-	items, err := c.inputQ.TakeHeadBatch(tctx, c.batchMax())
-	if err != nil && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+	items, err = c.inputQ.TakeHeadBatch(tctx, n)
+	if err != nil {
+		if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
+			return nil, nil, err
+		}
 		// Woken for local messages, not cancelled for real. A wake token
 		// consumed without pending messages (the race where both a store
-		// item and a local message arrived) is harmless: localsPending is
-		// re-checked at the top of every take.
-		return nil, nil
+		// item and a local message arrived) is harmless: pending local
+		// messages are re-checked at the top of every take.
 	}
-	return items, err
+	return c.takeLocal(n - len(items)), items, nil
 }
 
 // enqueueLocal delivers a cross-shard message to this controller's own
@@ -539,64 +567,30 @@ func (c *Controller) enqueueLocal(msg proto.InputMsg) {
 	c.lmu.Lock()
 	c.localMsgs = append(c.localMsgs, msg)
 	c.lmu.Unlock()
+	c.wakeLocal()
+}
+
+// wakeLocal posts the (capacity-1) wake token for the leader's drain.
+func (c *Controller) wakeLocal() {
 	select {
 	case c.localWake <- struct{}{}:
 	default:
 	}
 }
 
-// takeLocal drains the pending local messages.
-func (c *Controller) takeLocal() []proto.InputMsg {
+// takeLocal drains up to n pending local messages, oldest first.
+func (c *Controller) takeLocal(n int) []proto.InputMsg {
 	c.lmu.Lock()
-	msgs := c.localMsgs
-	c.localMsgs = nil
-	c.lmu.Unlock()
-	return msgs
-}
-
-// localsPending reports whether local messages await processing.
-func (c *Controller) localsPending() bool {
-	c.lmu.Lock()
-	n := len(c.localMsgs)
-	c.lmu.Unlock()
-	return n > 0
-}
-
-// handleLocal folds locally-delivered cross-shard messages into the
-// round ahead of the drained store items: votes, child-dones, and
-// piggybacked decisions all stage into the grouped Multi exactly like
-// their store-delivered twins. A message colliding with a record
-// already staged this round requeues for the next one; one lost to a
-// transient store error is left to its durable backstop.
-func (c *Controller) handleLocal(r *round) error {
-	var firstErr error
-	for _, msg := range c.takeLocal() {
-		if r.staged[msg.TxnPath] {
-			c.enqueueLocal(msg)
-			continue
-		}
-		var err error
-		switch msg.Kind {
-		case proto.KindXVote:
-			err = c.stageXVote(r, msg, "")
-		case proto.KindXChildDone:
-			err = c.stageXChildDone(r, msg, "")
-		case proto.KindXDecide:
-			err = c.stageXDecide(r, msg, "")
-		default:
-			c.cfg.Logf("controller %s: dropping local message kind %q", c.cfg.Name, msg.Kind)
-		}
-		if err != nil {
-			if errFatal(err) {
-				return err
-			}
-			c.cfg.Logf("controller %s: local %s: %v", c.cfg.Name, msg.Kind, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
+	defer c.lmu.Unlock()
+	if n > len(c.localMsgs) {
+		n = len(c.localMsgs)
 	}
-	return firstErr
+	if n <= 0 {
+		return nil
+	}
+	msgs := c.localMsgs[:n:n]
+	c.localMsgs = c.localMsgs[n:]
+	return msgs
 }
 
 // noticeRemove consumes an inputQ notice, tolerating the empty item path
@@ -617,72 +611,47 @@ func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 	return []store.Op{c.inputQ.RemoveOp(itemPath)}
 }
 
-// processRound handles one drained batch end to end. Unbatched, it is
-// the legacy pipeline: per-item commits, then a scheduling pass with
-// per-admission commits. Batched, the items' staged effects AND the
-// scheduling pass's admissions all ride one grouped Multi — a freshly
-// submitted transaction can go accepted→started→phyQ in a single store
-// commit shared with the rest of its round. Cross-shard sends triggered
-// anywhere in the round are collected per peer shard and flushed as one
-// Multi per peer on the way out.
-func (c *Controller) processRound(items []queue.Item) error {
-	r := &round{staged: make(map[string]bool)}
+// processRound handles one event round end to end: the drained items'
+// staged effects AND the scheduling pass's admissions all ride one
+// grouped Multi — a freshly submitted transaction can go
+// accepted→started→phyQ in a single store commit shared with the rest of
+// its round. Cross-shard sends triggered anywhere in the round are
+// collected per peer shard and flushed as one Multi per peer on the way
+// out.
+func (c *Controller) processRound(locals []proto.InputMsg, items []queue.Item) error {
 	c.peerCollect = true
 	defer func() {
 		c.peerCollect = false
 		c.xFlushPeerSends()
 	}()
-	err := c.handleLocal(r)
-	if err != nil && errFatal(err) {
-		return err
-	}
-	if herr := c.handleRound(r, items); herr != nil {
-		if errFatal(herr) {
-			return herr
-		}
-		if err == nil {
-			err = herr
-		}
-	}
-	if c.batching() {
-		c.scheduleInto(r)
-		cleanups := r.cleanups
-		if ferr := c.flushRound(r); ferr != nil {
-			if errFatal(ferr) {
-				return ferr
-			}
-			if err == nil {
-				err = ferr
-			}
-		}
-		// The flush's cleanups released locks AFTER the round's
-		// scheduling pass ran, and a coordinator-local child may have
-		// joined todoQ post-flush (resched). If queued work remains,
-		// schedule again now — a deferred transaction must not wait for
-		// an input event that may never come to claim locks that are
-		// already free.
-		resched := c.resched
-		c.resched = false
-		if (cleanups > 0 || resched) && len(c.todo) > 0 {
-			c.schedule()
-		}
-		c.todoDepth.Set(int64(len(c.todo)))
-		return err
-	}
-	if ferr := c.flushRound(r); ferr != nil {
-		if errFatal(ferr) {
-			return ferr
-		}
-		if err == nil {
-			err = ferr
-		}
-	}
+	// This round's scheduling pass covers whatever an earlier round left
+	// queued; the round's own effects may ask for another pass.
 	c.resched = false
-	c.schedule()
+	r := newRound(len(locals) + len(items))
+	err := c.stageRound(r, locals, items)
+	if r.failed || (err != nil && errFatal(err)) {
+		return err
+	}
+	c.scheduleInto(r)
+	if ferr := c.flushRound(r); ferr != nil {
+		return ferr
+	}
+	// The flush's cleanups released locks AFTER the round's scheduling
+	// pass ran, and a coordinator-local child may have joined todoQ
+	// post-flush (resched). If queued work remains, schedule again now — a
+	// deferred transaction must not wait for an input event that may
+	// never come to claim locks that are already free.
+	if (r.cleanups > 0 || c.resched) && len(c.todo) > 0 {
+		c.resched = false
+		if serr := c.schedule(); serr != nil {
+			return serr
+		}
+	}
+	c.todoDepth.Set(int64(len(c.todo)))
 	return err
 }
 
-// batchMax returns the per-round drain bound (1 = unbatched).
+// batchMax returns the per-round drain bound (1 = a batch of one).
 func (c *Controller) batchMax() int {
 	if c.cfg.BatchMaxOps > 1 {
 		return c.cfg.BatchMaxOps
@@ -690,15 +659,14 @@ func (c *Controller) batchMax() int {
 	return 1
 }
 
-// batching reports whether the grouped-commit pipeline is enabled.
-func (c *Controller) batching() bool { return c.cfg.BatchMaxOps > 1 }
-
+// noteInBatch records one round that drained n > 0 items; pure
+// scheduling passes and empty wake-ups are not drains.
 func (c *Controller) noteInBatch(n int) {
-	c.met.rounds.Inc()
-	c.met.roundItems.Observe(float64(n))
-	if !c.batching() {
+	if n == 0 {
 		return
 	}
+	c.met.rounds.Inc()
+	c.met.roundItems.Observe(float64(n))
 	c.mu.Lock()
 	c.stats.InBatches++
 	c.stats.InBatchItems += int64(n)
@@ -709,13 +677,8 @@ func (c *Controller) noteInBatch(n int) {
 }
 
 // noteFlush records one grouped Multi commit in the batch stats and the
-// exported flush histograms. Unbatched mode commits the same legacy
-// per-item ops through the same helpers; those are not grouped commits
-// and stay out of both.
+// exported flush histograms.
 func (c *Controller) noteFlush(ops int, d time.Duration) {
-	if !c.batching() {
-		return
-	}
 	c.met.flushOps.Observe(float64(ops))
 	c.met.flushLat.ObserveDuration(d)
 	c.mu.Lock()
@@ -728,22 +691,33 @@ func (c *Controller) noteFlush(ops int, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// round accumulates the staged persistent effects of one inputQ drain:
+// round accumulates the staged persistent effects of one event round:
 // store operations to group-commit, the in-memory effects to apply once
-// the commit lands, and per-item fallbacks replaying the legacy one-
-// item-at-a-time path if the grouped commit fails validation (e.g. a
-// record's version moved between staging and flush).
+// the commit lands, and the in-memory changes to undo if it fails
+// validation (e.g. a record's version moved between staging and flush).
 type round struct {
-	ops      []store.Op
-	after    []func()
-	fallback []func() error
+	ops   []store.Op
+	after []func()
+	// undo reverts in-memory changes a handler made while staging (a
+	// decided child's transition, an early lock release); run in reverse
+	// staging order when the flush fails.
+	undo []func()
 	// staged tracks transaction paths with staged effects, so a second
 	// message touching the same record defers to the next round instead
-	// of poisoning the grouped Multi with a stale version.
+	// of poisoning the grouped Multi with a stale version; staged
+	// inconsistency-mark creates are tracked here too.
 	staged map[string]bool
+	// locals are the local messages whose effects are staged in ops;
+	// they go back to the local queue if the flush fails.
+	locals []proto.InputMsg
+	// drained counts the items the round took (store and local); a
+	// failed flush owes each of them a single-item replay round.
+	drained int
+	// failed is set once a flush of this round failed; the round stops.
+	failed bool
 	// accepted are transactions optimistically appended to todoQ this
-	// round (so the same round's scheduling pass can admit them); undone
-	// before fallbacks if the flush fails.
+	// round (so the same round's scheduling pass can admit them); removed
+	// again if the flush fails.
 	accepted []*txn.Txn
 	// admitted are transactions whose admission (started-state write +
 	// phyQ enqueue) is staged in ops; fully unwound — simulation, locks,
@@ -760,30 +734,60 @@ type round struct {
 	cleanups int
 }
 
-func (r *round) stage(ops []store.Op, after func(), fallback func() error) {
+func newRound(drained int) *round {
+	return &round{staged: make(map[string]bool), drained: drained}
+}
+
+func (r *round) stage(ops []store.Op, after func()) {
 	r.ops = append(r.ops, ops...)
 	if after != nil {
 		r.after = append(r.after, after)
 	}
-	if fallback != nil {
-		r.fallback = append(r.fallback, fallback)
-	}
 }
 
-// handleRound processes one drained batch of input messages into the
-// round. Submit and result notices are staged for the grouped commit;
-// signal and reconciliation requests (rare, and with their own write
-// patterns) are handled directly after flushing whatever is staged,
-// preserving queue order. The returned error, if any, is the first
-// retryable failure — session and quorum losses short-circuit
-// immediately.
-func (c *Controller) handleRound(r *round, items []queue.Item) error {
+// stageRound stages one round's drained input, local messages ahead of
+// the store items. Submit, result and 2PC ledger/decision/retract
+// messages are staged for the grouped commit; signal, deadline and
+// reconciliation requests (rare, and with their own write patterns) are
+// handled directly after flushing whatever is staged, preserving queue
+// order. A failed flush ends the round: the items behind it stay queued
+// and replay. The returned error, if any, is the first failure —
+// session and quorum losses short-circuit immediately.
+func (c *Controller) stageRound(r *round, locals []proto.InputMsg, items []queue.Item) error {
 	var firstErr error
-	note := func(kind proto.MsgKind, err error) {
+	note := func(kind proto.MsgKind, err error) error {
+		if errFatal(err) {
+			return err
+		}
+		c.cfg.Logf("controller %s: handle %s: %v", c.cfg.Name, kind, err)
+		if firstErr == nil {
+			firstErr = err
+		}
+		return nil
+	}
+	for _, msg := range locals {
+		// A message colliding with a record already staged this round is
+		// requeued by its handler for the next one.
+		staged := len(r.ops)
+		var err error
+		switch msg.Kind {
+		case proto.KindXVote:
+			err = c.stageXVote(r, msg, "")
+		case proto.KindXChildDone:
+			err = c.stageXChildDone(r, msg, "")
+		case proto.KindXDecide:
+			err = c.stageXDecide(r, msg, "")
+		case proto.KindXRetract:
+			err = c.stageXRetract(r, msg)
+		default:
+			c.cfg.Logf("controller %s: dropping local message kind %q", c.cfg.Name, msg.Kind)
+		}
+		if len(r.ops) > staged {
+			r.locals = append(r.locals, msg)
+		}
 		if err != nil {
-			c.cfg.Logf("controller %s: handle %s: %v", c.cfg.Name, kind, err)
-			if firstErr == nil {
-				firstErr = err
+			if ferr := note(msg.Kind, err); ferr != nil {
+				return ferr
 			}
 		}
 	}
@@ -791,50 +795,32 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 		msg, err := proto.DecodeInputMsg(it.Data)
 		if err != nil {
 			c.cfg.Logf("controller %s: dropping bad input item: %v", c.cfg.Name, err)
-			itemPath := it.Path
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage([]store.Op{c.inputQ.RemoveOp(it.Path)}, nil)
 			continue
 		}
 		switch msg.Kind {
 		case proto.KindSubmit:
 			err = c.stageAccept(r, msg, it.Path)
-			if errors.Is(err, errHandleDirect) {
-				// Flush what is staged (preserving queue order), then drive
-				// the message directly.
-				if ferr := c.flushRound(r); ferr != nil {
-					if errFatal(ferr) {
-						return ferr
-					}
-					note(msg.Kind, ferr)
-				}
-				err = c.handle(msg, it.Path)
-			}
+		case proto.KindResult:
+			err = c.stageCleanup(r, msg, it.Path)
 		case proto.KindXVote:
-			// Coordinator ledger updates ride the grouped Multi like
-			// accepts and cleanups; only decide/timeout messages (rare,
-			// with cross-store side effects) are handled directly below.
 			err = c.stageXVote(r, msg, it.Path)
 		case proto.KindXChildDone:
 			err = c.stageXChildDone(r, msg, it.Path)
-		case proto.KindResult:
-			err = c.stageCleanup(r, msg, it.Path)
+		case proto.KindXDecide:
+			err = c.stageXDecide(r, msg, it.Path)
 		default:
 			// Flush staged work first so this item observes (and its own
 			// writes serialize after) everything ahead of it in the queue.
 			if ferr := c.flushRound(r); ferr != nil {
-				if errFatal(ferr) {
-					return ferr
-				}
-				note(msg.Kind, ferr)
+				return ferr
 			}
 			err = c.handle(msg, it.Path)
 		}
 		if err != nil {
-			if errFatal(err) {
-				return err
+			if ferr := note(msg.Kind, err); ferr != nil {
+				return ferr
 			}
-			note(msg.Kind, err)
 		}
 	}
 	return firstErr
@@ -850,18 +836,19 @@ func errFatal(err error) bool {
 // per-item processing would have done). On a validation failure (e.g. a
 // record's version moved under a staged write) the round is unwound —
 // staged admissions roll their simulations, locks, and transitions back,
-// optimistic todoQ appends are removed — and every item is replayed
-// through its per-item fallback, which re-reads current state and
-// applies the legacy path; a final legacy scheduling pass then re-admits
-// whatever can run, so a failed flush never strands runnable work
-// waiting for an event that already happened.
+// staged aborts revert to accepted, optimistic todoQ appends are
+// removed, and the handlers' undo steps run — and nothing is re-applied
+// here. The round's store items are still in inputQ (their removals rode
+// the failed Multi) and its local messages go back to the local queue;
+// the next rounds drain them one item each through the same staged
+// handlers, so the item that failed the group is retried on its own.
 func (c *Controller) flushRound(r *round) error {
 	if len(r.ops) == 0 {
 		return nil
 	}
-	ops, after, fallback := r.ops, r.after, r.fallback
+	ops, after, undo, locals := r.ops, r.after, r.undo, r.locals
 	accepted, admitted, aborted := r.accepted, r.admitted, r.aborted
-	r.ops, r.after, r.fallback = nil, nil, nil
+	r.ops, r.after, r.undo, r.locals = nil, nil, nil, nil
 	r.accepted, r.admitted, r.aborted = nil, nil, nil
 	r.staged = make(map[string]bool)
 
@@ -874,16 +861,17 @@ func (c *Controller) flushRound(r *round) error {
 		}
 		return nil
 	}
+	r.failed = true
 	if errFatal(err) {
 		return err
 	}
-	c.cfg.Logf("controller %s: grouped flush of %d ops failed, replaying per item: %v",
-		c.cfg.Name, len(ops), err)
+	c.cfg.Logf("controller %s: grouped flush of %d ops failed, replaying its %d items one per round: %v",
+		c.cfg.Name, len(ops), r.drained, err)
 
 	// Unwind staged admissions in reverse admission order. Transactions
-	// whose accept rode this same round are dropped entirely — their
-	// accept fallback below re-reads the record and requeues a fresh
-	// copy; re-admitting the stale copy too would double-execute them.
+	// whose accept rode this same round are dropped entirely — the replay
+	// re-reads the record and accepts a fresh copy; re-admitting the
+	// stale copy too would double-execute them.
 	acceptedSet := make(map[*txn.Txn]bool, len(accepted))
 	for _, t := range accepted {
 		acceptedSet[t] = true
@@ -898,32 +886,26 @@ func (c *Controller) flushRound(r *round) error {
 			continue
 		}
 		c.locks.ReleaseAll(t.ID)
-		if n := len(t.History); n > 0 && admissionState(t.History[n-1].State) {
-			t.History = t.History[:n-1]
-		}
-		t.State = txn.StateAccepted
+		revert(t, txn.StateAccepted)
 		t.Log = nil
 		if !acceptedSet[t] {
 			requeue = append([]*txn.Txn{t}, requeue...)
 		}
 	}
 	// Staged aborts revert to accepted and requeue for re-evaluation by
-	// the final scheduling pass: their verdicts may have been derived
-	// from sibling effects that were just unwound. State-independent
-	// verdicts (signals, unknown procedures) simply re-abort there.
+	// the next scheduling pass: their verdicts may have been derived from
+	// sibling effects that were just unwound. State-independent verdicts
+	// (signals, unknown procedures) simply re-abort there.
 	for i := len(aborted) - 1; i >= 0; i-- {
 		t := aborted[i]
-		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
-			t.History = t.History[:n-1]
-		}
-		t.State = txn.StateAccepted
+		revert(t, txn.StateAccepted)
 		t.Error, t.Code = "", ""
 		if !acceptedSet[t] {
 			requeue = append([]*txn.Txn{t}, requeue...)
 		}
 	}
-	// Remove this round's optimistic todoQ appends; their fallbacks
-	// re-accept from the store.
+	// Remove this round's optimistic todoQ appends; the replayed submit
+	// notices re-accept them from the store.
 	if len(accepted) > 0 {
 		kept := c.todo[:0]
 		for _, t := range c.todo {
@@ -934,37 +916,30 @@ func (c *Controller) flushRound(r *round) error {
 		c.todo = kept
 	}
 	c.todo = append(requeue, c.todo...)
-
-	var firstErr error
-	for _, f := range fallback {
-		if ferr := f(); ferr != nil {
-			if errFatal(ferr) {
-				return ferr
-			}
-			if firstErr == nil {
-				firstErr = ferr
-			}
-		}
+	for i := len(undo) - 1; i >= 0; i-- {
+		undo[i]()
 	}
-	// Re-schedule through the legacy per-admission path: the unwound and
-	// re-accepted transactions must not wait for the next input event.
-	c.schedule()
-	return firstErr
+	for _, msg := range locals {
+		c.enqueueLocal(msg)
+	}
+	if r.drained > c.replay {
+		c.replay = r.drained
+	}
+	// The unwound and requeued transactions must not wait for the next
+	// input event: the leader schedules again without blocking.
+	c.resched = true
+	return err
 }
 
-// scheduleInto runs a scheduling pass whose admissions are staged into
-// the round instead of committed on their own — the group commit of
-// transaction admission.
-func (c *Controller) scheduleInto(r *round) {
-	c.scheduleWalk(r)
-	pending := c.admitPending
-	c.admitPending = nil
-	for _, t := range pending {
-		t := t
-		r.ops = append(r.ops, c.admissionOps(t)...)
-		r.admitted = append(r.admitted, t)
-		r.after = append(r.after, func() { c.admitApply(t) })
-	}
+// schedule runs a scheduling pass outside a drained round — recovery,
+// and the pass after a round whose flush freed locks or queued work —
+// as a round of its own, so every admission commits through flushRound.
+func (c *Controller) schedule() error {
+	r := newRound(0)
+	c.scheduleInto(r)
+	err := c.flushRound(r)
+	c.todoDepth.Set(int64(len(c.todo)))
+	return err
 }
 
 // Retry backoff bounds for the leader loop: the floor matches the old
@@ -975,22 +950,13 @@ const (
 	retryBackoffMax = 100 * time.Millisecond
 )
 
+// handle processes the input kinds that are not staged into the round's
+// grouped commit: deadline checks, operator signals and reconciliation
+// requests.
 func (c *Controller) handle(msg proto.InputMsg, itemPath string) error {
 	switch msg.Kind {
-	case proto.KindSubmit:
-		return c.accept(msg, itemPath)
-	case proto.KindResult:
-		return c.cleanup(msg, itemPath)
-	case proto.KindXVote:
-		return c.xVote(msg, itemPath)
-	case proto.KindXDecide:
-		return c.xDecide(msg, itemPath)
-	case proto.KindXChildDone:
-		return c.xChildDone(msg, itemPath)
 	case proto.KindXTimeout:
 		return c.xTimeout(msg, itemPath)
-	case proto.KindXAdvance:
-		return c.xAdvance(msg, itemPath)
 	case proto.KindSignal:
 		if err := c.signal(msg.TxnPath, txn.Signal(msg.Signal)); err != nil {
 			// A signal for a record that does not exist can never
@@ -1051,45 +1017,11 @@ func (c *Controller) reply(msg proto.InputMsg, err error) {
 	}
 }
 
-// accept moves a submitted transaction into todoQ (Figure 2, ②),
-// atomically with consuming its submit notice.
-func (c *Controller) accept(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.inputQ.Remove(itemPath)
-		}
-		return err
-	}
-	if rec.State != txn.StateInitialized {
-		// Duplicate submit notice (e.g. the record was already accepted
-		// by recovery); drop it.
-		return c.inputQ.Remove(itemPath)
-	}
-	if rec.IsParent() {
-		// A cross-shard parent: accepted here, then coordinated via the
-		// 2PC protocol instead of todoQ.
-		return c.xAcceptParent(rec, stat, itemPath)
-	}
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
-	}
-	err = c.cli.Multi(
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-	)
-	if err != nil {
-		return err
-	}
-	c.countStage(&c.stats.Accepted, "accepted")
-	c.todo = append(c.todo, rec)
-	return nil
-}
-
-// stageAccept is the batched form of accept: it validates the submitted
-// record now but defers both the persistent transition (staged into the
-// round's grouped Multi) and the in-memory todoQ append (run only after
-// the group commits).
+// stageAccept moves a submitted transaction into todoQ (Figure 2, ②):
+// it validates the submitted record now but defers the persistent
+// transition — staged into the round's grouped Multi with consuming the
+// submit notice — while appending to todoQ optimistically, so this
+// round's own scheduling pass can admit the transaction.
 func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		// Another message already staged effects on this record this
@@ -1100,8 +1032,7 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil)
 			return nil
 		}
 		return err
@@ -1109,8 +1040,7 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	if rec.State != txn.StateInitialized {
 		// Duplicate submit notice (e.g. the record was already accepted
 		// by recovery); drop it.
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil)
 		return nil
 	}
 	if rec.IsParent() {
@@ -1125,8 +1055,8 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	r.staged[msg.TxnPath] = true
 	// The todoQ append is optimistic — this round's own scheduling pass
 	// may admit the transaction, putting accept and admission in the
-	// same grouped commit. flushRound undoes the append before running
-	// the per-item fallback if the group fails.
+	// same grouped commit. flushRound undoes the append if the group
+	// fails.
 	c.todo = append(c.todo, rec)
 	r.accepted = append(r.accepted, rec)
 	r.stage(
@@ -1134,10 +1064,7 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 			c.inputQ.RemoveOp(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
 		},
-		func() {
-			c.countStage(&c.stats.Accepted, "accepted")
-		},
-		func() error { return c.accept(msg, itemPath) },
+		func() { c.countStage(&c.stats.Accepted, "accepted") },
 	)
 	return nil
 }
@@ -1151,34 +1078,60 @@ const (
 	outcomeAborted
 )
 
-// schedule works through todoQ. Under the paper's FIFO policy it stops
-// at the first transaction deferred on a resource conflict (the
-// deferred transaction stays at the front and scheduling resumes on the
-// next event); under the aggressive policy it continues past deferred
-// transactions so independent work behind them proceeds (§3.1.1).
-func (c *Controller) schedule() {
-	c.scheduleWalk(nil)
-	c.flushAdmissions()
-	c.todoDepth.Set(int64(len(c.todo)))
-}
-
-// scheduleWalk works through todoQ, leaving any staged admissions in
-// admitPending for the caller to commit (grouped or per-item). With a
-// non-nil round, terminal writes for aborted transactions are staged
-// into it instead of committed on their own — an unstaged write would
-// bump a record version under the round's staged accept and fail the
-// whole grouped flush.
-func (c *Controller) scheduleWalk(r *round) {
-	if c.xFastPath() {
+// scheduleInto works through todoQ, staging its admissions and aborts
+// into the round — the group commit of transaction admission. Under the
+// paper's FIFO policy it stops at the first transaction deferred on a
+// resource conflict (the deferred transaction stays at the front and
+// scheduling resumes on the next event), except for cross-shard
+// children behind it (see scheduleWalk); under the aggressive policy it
+// continues past deferred transactions so independent work behind them
+// proceeds (§3.1.1).
+func (c *Controller) scheduleInto(r *round) {
+	if c.xEnabled() {
 		// Deterministic global prepare order: every participant acquires
 		// cross-shard child locks in the same order, so two children of
 		// different parents contending on two shards cannot deadlock by
 		// acquiring in reversed orders (see shard.PrepareLess).
 		c.xOrderChildren()
 	}
+	first := len(r.admitted)
+	c.scheduleWalk(r)
+	pending := r.admitted[first:]
+	// Coordinator-local children's yes-votes ride the same Multi as their
+	// prepare writes (fast path); their post-flush effects run after every
+	// admission in the round is tracked.
+	votes := c.xStageLocalVotes(r, pending)
+	for _, t := range pending {
+		t := t
+		apply := func() { c.admitApply(t) }
+		if votes[t.ID] != nil {
+			apply = func() { c.prepared[t.ID] = t }
+		}
+		r.stage(c.admissionOps(t), apply)
+	}
+	for _, t := range pending {
+		if v := votes[t.ID]; v != nil {
+			r.stage(v.ops, func() { c.xPostVote(v.rec, v.eff) })
+		}
+	}
+}
+
+// scheduleWalk is scheduleInto's pass over todoQ. Under FIFO, once a
+// transaction defers, only cross-shard children behind it are still
+// tried: a child's prepare is a vote that other shards' prepared
+// children wait on, so holding it behind a local head that itself waits
+// on such a prepared child could close a wait-for cycle across shards
+// that no lock conflict reveals to wound-wait. Waiting local work holds
+// no locks, so letting children past it cannot starve it of any.
+func (c *Controller) scheduleWalk(r *round) {
+	blocked := false
 	i := 0
 	for i < len(c.todo) {
 		t := c.todo[i]
+		if blocked && !t.IsChild() {
+			i++
+			continue
+		}
 		if t.Signal == txn.SignalTerm || t.Signal == txn.SignalKill {
 			c.todo = append(c.todo[:i], c.todo[i+1:]...)
 			c.abortQueued(t, trerr.New(trerr.TxnTerminated, "terminated by operator signal"), r)
@@ -1191,9 +1144,12 @@ func (c *Controller) scheduleWalk(r *round) {
 			c.countStage(&c.stats.Deferrals, "deferred")
 			t.State = txn.StateDeferred // in-memory only; persisted as accepted
 			if c.cfg.Policy == ScheduleFIFO {
-				return
+				if !c.xEnabled() {
+					return
+				}
+				blocked = true
 			}
-			i++ // aggressive: try the transactions queued behind it
+			i++
 		}
 	}
 }
@@ -1233,18 +1189,18 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		// shards holding each other's locks in reversed orders would both
 		// sit out the prepare deadline.
 		c.rollbackTimed(t.ID, t.Log)
-		if t.IsChild() && c.xFastPath() {
-			c.xMaybeWound(t, reqs)
+		if t.IsChild() && c.xEnabled() {
+			c.xMaybeWound(r, t, reqs)
 		}
 		t.Log = nil
 		return outcomeConflict
 	}
 	// Runnable (③C): persist state+log and enqueue to phyQ atomically,
 	// so a leader crash cannot strand a started transaction outside
-	// phyQ or double-enqueue it. With batching the admission is staged
-	// and the whole scheduling round's admissions ride one grouped Multi
-	// (group commit of transaction admission); the atomicity guarantee
-	// is unchanged — the group either commits in full or not at all.
+	// phyQ or double-enqueue it. The admission is staged, and the whole
+	// scheduling round's admissions ride one grouped Multi (group commit
+	// of transaction admission): the group either commits in full or not
+	// at all.
 	//
 	// A cross-shard CHILD stops at prepared instead: simulation and
 	// locks are its yes-vote, and it enters phyQ only when the
@@ -1259,18 +1215,14 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		c.abortQueued(t, err, r)
 		return outcomeAborted
 	}
-	if c.batching() {
-		c.admitPending = append(c.admitPending, t)
-		return outcomeRunnable
-	}
-	return c.admitNow(t)
+	r.admitted = append(r.admitted, t)
+	return outcomeRunnable
 }
 
 // admissionOps builds the persistent half of one transaction's
-// admission: the started-state record write and the phyQ enqueue. Every
-// admission path — per-item, grouped, and fallback — commits exactly
-// these ops, so the paths cannot diverge. A prepared cross-shard child
-// persists only its record: it enters phyQ at decision time, not now.
+// admission: the started-state record write and the phyQ enqueue. A
+// prepared cross-shard child persists only its record: it enters phyQ
+// at decision time, not now.
 func (c *Controller) admissionOps(t *txn.Txn) []store.Op {
 	txnPath := c.txnPath(t.ID)
 	ops := []store.Op{store.SetOp(txnPath, t.Encode(), -1)}
@@ -1300,87 +1252,13 @@ func (c *Controller) admitApply(t *txn.Txn) {
 	c.inFlight[t.ID] = t
 }
 
-// admitNow persists one runnable transaction's admission (state+log and
-// phyQ enqueue, atomically) and tracks it in flight — the unbatched
-// admission path, also serving as the per-transaction fallback when a
-// grouped admission flush fails.
-func (c *Controller) admitNow(t *txn.Txn) scheduleOutcome {
-	err := c.cli.Multi(c.admissionOps(t)...)
-	if err != nil {
-		c.cfg.Logf("controller %s: start %s: %v", c.cfg.Name, t.ID, err)
-		c.locks.ReleaseAll(t.ID)
-		// The started/prepared transition was never persisted; drop its
-		// history stamp so a retry doesn't record it twice.
-		if n := len(t.History); n > 0 && admissionState(t.History[n-1].State) {
-			t.History = t.History[:n-1]
-		}
-		// Roll the simulation back; the transaction stays accepted and
-		// will be retried on the next event.
-		if rbErr := rollbackLog(c.ltree, c.cfg.Schema, t.Log); rbErr == nil {
-			t.State = txn.StateAccepted
-			t.Log = nil
-			return outcomeConflict
-		}
-		c.abortQueued(t, err, nil)
-		return outcomeAborted
+// revert undoes t's in-memory transition into its current state, whose
+// write never committed, returning it to prev.
+func revert(t *txn.Txn, prev txn.State) {
+	if n := len(t.History); n > 0 && t.History[n-1].State == t.State {
+		t.History = t.History[:n-1]
 	}
-	c.admitApply(t)
-	return outcomeRunnable
-}
-
-// admissionState reports states written by the admission paths
-// (unwound together on a failed flush).
-func admissionState(s txn.State) bool {
-	return s == txn.StateStarted || s == txn.StatePrepared
-}
-
-// flushAdmissions group-commits every admission the scheduling round
-// staged: all runnable transactions' state+log writes and phyQ enqueues
-// in a single Multi. On failure each transaction is replayed through the
-// per-item admission path; any that defer (store hiccup with a clean
-// simulation rollback) return to the front of todoQ in order, as if they
-// had never been popped.
-func (c *Controller) flushAdmissions() {
-	pending := c.admitPending
-	c.admitPending = nil
-	if len(pending) == 0 {
-		return
-	}
-	ops := make([]store.Op, 0, 2*len(pending))
-	for _, t := range pending {
-		ops = append(ops, c.admissionOps(t)...)
-	}
-	// Coordinator-local children's yes-votes ride the same Multi as
-	// their prepare writes (fast path); their post-flush effects run
-	// after every admission in the batch is tracked.
-	votes := c.xStageLocalVotes(pending, &ops)
-	start := time.Now()
-	err := c.cli.Multi(ops...)
-	c.noteFlush(len(ops), time.Since(start))
-	if err == nil {
-		for _, t := range pending {
-			if _, voted := votes[t.ID]; voted {
-				c.prepared[t.ID] = t
-				continue
-			}
-			c.admitApply(t)
-		}
-		for _, v := range votes {
-			c.xPostVote(v.rec, v.eff)
-		}
-		return
-	}
-	c.cfg.Logf("controller %s: grouped admission of %d txns failed, replaying per txn: %v",
-		c.cfg.Name, len(pending), err)
-	var back []*txn.Txn
-	for _, t := range pending {
-		if c.admitNow(t) == outcomeConflict {
-			back = append(back, t)
-		}
-	}
-	if len(back) > 0 {
-		c.todo = append(back, c.todo...)
-	}
+	t.State = prev
 }
 
 // rollbackTimed rolls the logical layer back via the execution log,
@@ -1396,10 +1274,11 @@ func (c *Controller) rollbackTimed(id string, records []txn.LogRecord) {
 
 // abortQueued marks a not-yet-started transaction aborted and persists
 // the terminal state (③A), recording the failure's taxonomy code
-// alongside its message. With a non-nil round the terminal write is
-// STAGED — appended after any same-round accept write on the record, so
-// the grouped flush's version checks stay intact — instead of committed
-// on its own.
+// alongside its message. The terminal write is STAGED into the round —
+// appended after any same-round accept write on the record, so the
+// grouped flush's version checks stay intact. A nil round (a failed
+// flush whose unwind could not roll a simulation back) writes it
+// directly.
 func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 	t.Error = reason.Error()
 	t.Code = string(trerr.CodeOf(reason))
@@ -1410,7 +1289,6 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 		return
 	}
 	path := c.txnPath(t.ID)
-	persist := func() error { return c.cli.Set(path, t.Encode(), -1) }
 	count := func() {
 		c.countStage(&c.stats.Aborted, "aborted")
 		// A cross-shard child aborted before it could prepare is a NO
@@ -1420,77 +1298,26 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 		}
 	}
 	if r != nil {
-		// No per-item fallback: a failed flush reverts the transaction
-		// to accepted and requeues it (see flushRound) because the abort
-		// verdict may describe unwound state.
-		r.stage([]store.Op{store.SetOp(path, t.Encode(), -1)}, count, nil)
+		// A failed flush reverts the transaction to accepted and requeues
+		// it (see flushRound) because the abort verdict may describe
+		// unwound state.
+		r.stage([]store.Op{store.SetOp(path, t.Encode(), -1)}, count)
 		r.aborted = append(r.aborted, t)
 		return
 	}
-	if err := persist(); err != nil {
+	if err := c.cli.Set(path, t.Encode(), -1); err != nil {
 		c.cfg.Logf("controller %s: persist abort %s: %v", c.cfg.Name, t.ID, err)
 	}
 	count()
 }
 
-// cleanup finishes a transaction whose physical execution completed
-// (Figure 2, ⑤A/⑤B).
-func (c *Controller) cleanup(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.inputQ.Remove(itemPath)
-		}
-		return err
-	}
-	t, tracked := c.inFlight[rec.ID]
-	if !tracked || rec.State.Terminal() {
-		// A transaction this leader does not own (already finalized —
-		// e.g. KILLed — or cleaned up before a failover): drop the
-		// notice.
-		return c.inputQ.Remove(itemPath)
-	}
-	outcome := txn.State(msg.Outcome)
-	switch outcome {
-	case txn.StateCommitted, txn.StateAborted, txn.StateFailed:
-	default:
-		if err := c.inputQ.Remove(itemPath); err != nil {
-			return err
-		}
-		return fmt.Errorf("result notice for %s with outcome %q", rec.ID, msg.Outcome)
-	}
-
-	// Persist the terminal state atomically with consuming the notice —
-	// and, for commits, with the commit-log entry recovery replays. The
-	// in-memory effects follow only after persistence succeeds, so a
-	// retried cleanup never rolls the logical layer back twice.
-	rec.Error = msg.Error
-	rec.Code = msg.Code
-	rec.UndoneThrough = msg.UndoneThrough
-	if err := rec.Transition(outcome); err != nil {
-		return err
-	}
-	ops := []store.Op{
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-	}
-	if outcome == txn.StateCommitted {
-		ops = append(ops, store.CreateOp(proto.CommitLogPrefix,
-			proto.CommitLogEntry{TxnPath: msg.TxnPath}.Encode(), store.FlagSequence))
-	}
-	if err := c.cli.Multi(ops...); err != nil {
-		return err
-	}
-	c.finishCleanup(t, rec, outcome)
-	return nil
-}
-
-// stageCleanup is the batched form of cleanup: the terminal-state write,
-// notice consumption, and (for commits) commit-log entry are staged into
-// the round's grouped Multi, and the in-memory effects — lock release,
-// logical rollback, inconsistency marks, counters — run only after the
-// group commits, so a failed flush never rolls the logical layer back
-// for a transaction whose record still says started.
+// stageCleanup finishes a transaction whose physical execution
+// completed (Figure 2, ⑤A/⑤B): the terminal-state write, notice
+// consumption, and (for commits) the commit-log entry recovery replays
+// are staged into the round's grouped Multi, and the in-memory effects —
+// lock release, logical rollback, inconsistency marks, counters — run
+// only after the group commits, so a failed flush never rolls the
+// logical layer back for a transaction whose record still says started.
 func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		return nil // defer to the next round; see stageAccept
@@ -1498,8 +1325,7 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil)
 			return nil
 		}
 		return err
@@ -1509,16 +1335,14 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// A transaction this leader does not own (already finalized —
 		// e.g. KILLed — or cleaned up before a failover): drop the
 		// notice.
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil)
 		return nil
 	}
 	outcome := txn.State(msg.Outcome)
 	switch outcome {
 	case txn.StateCommitted, txn.StateAborted, txn.StateFailed:
 	default:
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil)
 		return fmt.Errorf("result notice for %s with outcome %q", rec.ID, msg.Outcome)
 	}
 
@@ -1544,29 +1368,31 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// Releasing before this round's scheduling pass lets a waiting
 		// transaction's admission ride the SAME grouped commit as this
 		// terminal write — the lock handoff costs zero extra store
-		// rounds. If the flush fails, the per-item fallback re-persists
-		// and re-releases (idempotent); admissions that used the freed
-		// locks were in the same failed Multi and are unwound with it.
+		// rounds. If the flush fails, admissions that used the freed
+		// locks were in the same failed Multi and are unwound with it,
+		// and the locks return to their owner until the replayed cleanup
+		// commits.
 		c.locks.ReleaseAll(rec.ID)
+		r.undo = append(r.undo, func() {
+			reqs := lockRequestsFromLog(c.ltree, c.cfg.Schema, t.Log)
+			if err := c.locks.Acquire(t.ID, reqs); err != nil {
+				c.cfg.Logf("controller %s: re-lock %s after failed flush: %v", c.cfg.Name, t.ID, err)
+			}
+		})
 		doneInline := false
-		r.stage(ops,
-			func() {
-				delete(c.inFlight, rec.ID)
-				c.countStage(&c.stats.Committed, "committed")
-				if rec.IsChild() && !doneInline {
-					c.xSendChildDone(rec)
-				}
-				c.maybeCheckpoint()
-			},
-			func() error { return c.cleanup(msg, itemPath) },
-		)
+		r.stage(ops, func() {
+			delete(c.inFlight, rec.ID)
+			c.countStage(&c.stats.Committed, "committed")
+			if rec.IsChild() && !doneInline {
+				c.xSendChildDone(rec)
+			}
+			c.maybeCheckpoint()
+		})
 		if rec.IsChild() {
 			// A coordinator-local child's done-report can ride this same
 			// round: the ledger write (and the parent's finalize, when
 			// this report completes the set) joins the grouped Multi that
-			// persists the child's terminal state. Staged after the
-			// cleanup stage so a failed flush re-finalizes the child
-			// before the fallback re-applies the ledger.
+			// persists the child's terminal state.
 			doneInline = c.stageXChildDoneLocal(r, rec)
 		}
 		return nil
@@ -1577,17 +1403,21 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 	// more afterwards (r.cleanups) so freed locks are claimable without
 	// waiting for another input event.
 	r.cleanups++
-	r.stage(ops,
-		func() { c.finishCleanup(t, rec, outcome) },
-		func() error { return c.cleanup(msg, itemPath) },
-	)
+	var marks []string
+	if outcome == txn.StateFailed {
+		// The inconsistency marks ride the terminal write, so a failover
+		// right after "failed" became visible still denies the paths (§4).
+		marks = c.touchedPaths(t.Log)
+		ops = append(ops, c.inconsistentMarkOps(r, marks)...)
+	}
+	r.stage(ops, func() { c.finishCleanup(t, rec, outcome, marks) })
 	return nil
 }
 
-// finishCleanup applies the in-memory half of a persisted terminal
-// transition (Figure 2, ⑤A/⑤B), shared by the per-item and batched
-// cleanup paths.
-func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State) {
+// finishCleanup applies the in-memory half of a persisted aborted or
+// failed terminal transition (Figure 2, ⑤B); marks are the paths a
+// failed transaction leaves inconsistent.
+func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State, marks []string) {
 	delete(c.inFlight, rec.ID)
 	// A cross-shard child's terminal outcome feeds the coordinator's
 	// ledger (the parent finalizes when every child has reported).
@@ -1595,11 +1425,6 @@ func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State) {
 		defer c.xSendChildDone(rec)
 	}
 	switch outcome {
-	case txn.StateCommitted:
-		// ⑤A: logical effects are already in the tree from simulation.
-		c.countStage(&c.stats.Committed, "committed")
-		c.locks.ReleaseAll(rec.ID)
-		c.maybeCheckpoint()
 	case txn.StateAborted:
 		// ⑤B: physical execution failed and was fully undone; roll the
 		// logical layer back too.
@@ -1612,7 +1437,9 @@ func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State) {
 		// inconsistency. Mark every path the transaction wrote so
 		// further transactions are denied until reconciliation (§4).
 		c.rollbackTimed(t.ID, t.Log)
-		c.markInconsistentFromLog(t.Log)
+		for _, p := range marks {
+			c.MarkInconsistent(p)
+		}
 		c.countStage(&c.stats.Failed, "failed")
 		c.locks.ReleaseAll(rec.ID)
 	}
@@ -1696,17 +1523,46 @@ func (c *Controller) signal(txnPath string, sig txn.Signal) error {
 // markInconsistentFromLog flags every path written by an execution log
 // as inconsistent, in memory and persistently.
 func (c *Controller) markInconsistentFromLog(records []txn.LogRecord) {
+	for _, p := range c.touchedPaths(records) {
+		c.MarkInconsistent(p)
+	}
+}
+
+// inconsistentMarkOps returns the creates persisting an inconsistency
+// mark for each path, for a round's grouped Multi. Marks already in the
+// store, or staged earlier in the round, are skipped: creating an
+// existing node would veto the whole group. Only the leader writes
+// marks, so the existence check cannot go stale before the flush.
+func (c *Controller) inconsistentMarkOps(r *round, paths []string) []store.Op {
+	var ops []store.Op
+	for _, p := range paths {
+		zpath := proto.InconsistentPath + "/" + proto.EncodePath(p)
+		if r.staged[zpath] {
+			continue
+		}
+		if ok, _, err := c.cli.Exists(zpath); err != nil || ok {
+			continue // present, or left to the post-flush MarkInconsistent
+		}
+		r.staged[zpath] = true
+		ops = append(ops, store.CreateOp(zpath, nil, 0))
+	}
+	return ops
+}
+
+// touchedPaths lists, once each, the paths an execution log wrote.
+func (c *Controller) touchedPaths(records []txn.LogRecord) []string {
 	seen := make(map[string]bool)
+	var paths []string
 	for _, r := range records {
 		def, _ := resolveDef(c.ltree, c.cfg.Schema, r)
 		for _, p := range touchedPathsRecord(def, r) {
-			if seen[p] {
-				continue
+			if !seen[p] {
+				seen[p] = true
+				paths = append(paths, p)
 			}
-			seen[p] = true
-			c.MarkInconsistent(p)
 		}
 	}
+	return paths
 }
 
 // Reconciler handles the two §4 reconciliation mechanisms on behalf of
@@ -1902,6 +1758,7 @@ func (c *Controller) recover() error {
 	c.inFlight = make(map[string]*txn.Txn)
 	c.prepared = make(map[string]*txn.Txn)
 	c.todo = nil
+	c.resched, c.replay = false, 0
 
 	// 1. Base snapshot.
 	data, _, err := c.cli.Get(proto.SnapshotPath)
@@ -2036,16 +1893,23 @@ func (c *Controller) recover() error {
 			xInDoubt = append(xInDoubt, rec)
 		}
 	}
-	// Resolve in-doubt prepares against their coordinator records BEFORE
-	// the scheduling pass, so locks released by abort decisions are
-	// immediately claimable; then resume coordination of local parents.
+	// Resolve in-doubt prepares against their coordinator records in a
+	// round of their own, flushed BEFORE the scheduling pass, so locks
+	// released by abort decisions are immediately claimable; then resume
+	// coordination of local parents.
+	r := newRound(0)
 	for _, rec := range xInDoubt {
-		c.xResolveInDoubt(rec)
+		c.xResolveInDoubt(r, rec)
+	}
+	if err := c.flushRound(r); err != nil && errFatal(err) {
+		return err
 	}
 	for _, rec := range xParents {
 		c.xRecoverParent(rec)
 	}
-	c.schedule()
+	if err := c.schedule(); err != nil && errFatal(err) {
+		return err
+	}
 	c.cfg.Logf("controller %s: recovered %d in-flight, %d prepared, %d queued, model %d nodes",
 		c.cfg.Name, len(c.inFlight), len(c.prepared), len(c.todo), c.ltree.Size())
 	return nil

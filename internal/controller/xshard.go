@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/lock"
@@ -73,12 +74,12 @@ type XShardConfig struct {
 	// FastPath enables the coalesced 2PC message flow: coordinator-local
 	// children skip the cross-store prepare round, participants read
 	// decisions off the (watched) parent record instead of waiting for
-	// decide notices, per-peer sends batch into one Multi per round, and
-	// children prepare in a deterministic global order with wound-wait
-	// resolving inversions. Off is the slow-path ablation: every message
-	// takes its own store round trip, exactly the pre-fast-path flow.
-	// Correctness is identical either way — the fast path only changes
-	// how (and how often) messages travel, never what is durable.
+	// decide notices, and per-peer sends batch into one Multi per round.
+	// Off is the slow-path ablation: every message takes its own store
+	// round trip, exactly the pre-fast-path flow. Correctness is
+	// identical either way — the fast path only changes how (and how
+	// often) messages travel, never what is durable; both arms prepare
+	// children in the deterministic global order with wound-wait.
 	FastPath bool
 }
 
@@ -90,10 +91,6 @@ const (
 	XEventPrepareSent = "prepare_sent"
 	XEventDecided     = "decided"
 )
-
-// errHandleDirect tells handleRound a message needs direct (unstaged)
-// handling: flush the round, then route it through handle().
-var errHandleDirect = errors.New("controller: handle message directly")
 
 // xEnabled reports whether this controller participates in cross-shard
 // transactions.
@@ -155,6 +152,7 @@ func (c *Controller) xPeer(i int) (*store.Client, error) {
 func (c *Controller) xKillPeers() {
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
+	c.xStopTimersLocked()
 	for _, cli := range c.xpeers {
 		cli.Kill()
 	}
@@ -164,10 +162,23 @@ func (c *Controller) xKillPeers() {
 func (c *Controller) xClosePeers() {
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
+	c.xStopTimersLocked()
 	for i, cli := range c.xpeers {
 		cli.Close()
 		delete(c.xpeers, i)
 	}
+}
+
+// xStopTimersLocked stops every pending prepare-deadline timer and
+// refuses new ones: a stopped controller must not stay reachable, and
+// the deadlines it armed are re-armed by whichever leader recovers the
+// parents. Caller holds c.xmu.
+func (c *Controller) xStopTimersLocked() {
+	c.xStopped = true
+	for tm := range c.xTimers {
+		tm.Stop()
+	}
+	c.xTimers = nil
 }
 
 // xEnqueue appends one inputQ item on the given session (a peer shard's
@@ -271,58 +282,33 @@ func (c *Controller) xFlushPeerSends() {
 
 // --- Coordinator ------------------------------------------------------
 
-// xAcceptParent accepts a cross-shard parent submission and starts the
-// prepare phase: the accepted state is persisted atomically with
-// consuming the submit notice, then child records and prepare notices
-// fan out to every participant shard and the vote-collection deadline
-// is armed.
-func (c *Controller) xAcceptParent(rec *txn.Txn, stat store.Stat, itemPath string) error {
+// stageXAcceptParent accepts a cross-shard parent submission and starts
+// the prepare phase: the accepted transition and notice consumption ride
+// the round's grouped Multi, and the prepare fan-out (cross-store writes
+// that cannot join this shard's Multi) runs after the flush lands, along
+// with arming the vote-collection deadline.
+func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat, msg proto.InputMsg, itemPath string) error {
+	if err := rec.Transition(txn.StateAccepted); err != nil {
+		return err
+	}
 	if !c.xEnabled() {
 		// A parent record on a platform without the cross-shard layer can
 		// never execute; abort it instead of wedging the queue head.
 		c.cfg.Logf("controller %s: parent %s without cross-shard config, aborting", c.cfg.Name, rec.ID)
 		rec.Error = "platform is not configured for cross-shard transactions"
 		rec.Code = string(trerr.XShardPrepareFailed)
-		if err := rec.Transition(txn.StateAccepted); err != nil {
-			return err
-		}
 		if err := rec.Transition(txn.StateAborted); err != nil {
 			return err
 		}
-		return c.cli.Multi(
-			c.inputQ.RemoveOp(itemPath),
-			store.SetOp(c.txnPath(rec.ID), rec.Encode(), stat.Version),
-		)
-	}
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
-	}
-	if err := c.cli.Multi(
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(c.txnPath(rec.ID), rec.Encode(), stat.Version),
-	); err != nil {
-		return err
-	}
-	c.countStage(&c.stats.Accepted, "accepted")
-	c.xStartPrepares(rec, false)
-	return nil
-}
-
-// stageXAcceptParent is the batched form of xAcceptParent: the accepted
-// transition and notice consumption ride the round's grouped Multi, and
-// the prepare fan-out (cross-store writes that cannot join this shard's
-// Multi) runs after the flush lands. A failed flush discards the
-// in-memory transition and replays through the direct path.
-func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat, msg proto.InputMsg, itemPath string) error {
-	if !c.xEnabled() {
-		return errHandleDirect // rare mis-config; the direct path aborts it
-	}
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
 	}
 	ops := []store.Op{
 		c.inputQ.RemoveOp(itemPath),
 		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
+	}
+	r.staged[msg.TxnPath] = true
+	if !c.xEnabled() {
+		r.stage(ops, nil)
+		return nil
 	}
 	var localKid *txn.Txn
 	if c.xFastPath() {
@@ -333,34 +319,30 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 			// Coordinator-local coalescing: the child this shard owns
 			// skips the cross-store prepare round entirely — its record
 			// rides the SAME grouped Multi as the parent's accept, and it
-			// joins todoQ post-flush so this round's own scheduling pass
-			// can prepare it. A 2-shard transaction thus pays one remote
-			// prepare, not two.
+			// joins todoQ post-flush so the round's follow-up scheduling
+			// pass can prepare it. A 2-shard transaction thus pays one
+			// remote prepare, not two.
 			localKid = c.xBuildChild(rec, k)
 			localKid.ID = ref.ID
 			ops = append(ops, store.CreateOp(proto.TxnsPath+"/"+ref.ID, localKid.Encode(), 0))
 			break
 		}
 	}
-	r.staged[msg.TxnPath] = true
-	r.stage(ops,
-		func() {
-			c.countStage(&c.stats.Accepted, "accepted")
-			if localKid != nil {
-				// The durable record says initialized — recovery re-accepts
-				// initialized records, so a crash here loses nothing. In
-				// memory it is accepted directly; no submit notice exists.
-				if err := localKid.Transition(txn.StateAccepted); err == nil {
-					c.todo = append(c.todo, localKid)
-					c.resched = true
-					c.met.xLocalKids.Inc()
-					c.countStage(&c.stats.Accepted, "accepted")
-				}
+	r.stage(ops, func() {
+		c.countStage(&c.stats.Accepted, "accepted")
+		if localKid != nil {
+			// The durable record says initialized — recovery re-accepts
+			// initialized records, so a crash here loses nothing. In
+			// memory it is accepted directly; no submit notice exists.
+			if err := localKid.Transition(txn.StateAccepted); err == nil {
+				c.todo = append(c.todo, localKid)
+				c.resched = true
+				c.met.xLocalKids.Inc()
+				c.countStage(&c.stats.Accepted, "accepted")
 			}
-			c.xStartPrepares(rec, localKid != nil)
-		},
-		func() error { return c.accept(msg, itemPath) },
-	)
+		}
+		c.xStartPrepares(rec, localKid != nil)
+	})
 	return nil
 }
 
@@ -368,8 +350,7 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 // arms the vote-collection deadline. Called with the parent's accepted
 // state already durable. skipLocal marks the coordinator-local child as
 // already created (coalesced into the parent's accept); the slow path
-// and every recovery/fallback path pass false and prepare it like any
-// remote participant.
+// and recovery pass false and prepare it like any remote participant.
 func (c *Controller) xStartPrepares(rec *txn.Txn, skipLocal bool) {
 	c.xClockStart(rec.ID)
 	for k := range rec.Children {
@@ -437,7 +418,16 @@ func (c *Controller) xSendPrepare(parent *txn.Txn, k int) {
 // a leader that later crashed still protects the transaction.
 func (c *Controller) xArmTimeout(parentID string) {
 	path := c.txnPath(parentID)
-	time.AfterFunc(c.xTimeoutDur(), func() {
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
+	if c.xStopped {
+		return
+	}
+	var tm *time.Timer
+	tm = time.AfterFunc(c.xTimeoutDur(), func() {
+		c.xmu.Lock()
+		delete(c.xTimers, tm)
+		c.xmu.Unlock()
 		if c.killed.Load() {
 			return
 		}
@@ -459,6 +449,10 @@ func (c *Controller) xArmTimeout(parentID string) {
 			c.cfg.Logf("controller %s: arm xshard timeout for %s: %v", c.cfg.Name, parentID, err)
 		}
 	})
+	if c.xTimers == nil {
+		c.xTimers = make(map[*time.Timer]struct{})
+	}
+	c.xTimers[tm] = struct{}{}
 }
 
 // xPhaseClock is the coordinator's in-memory phase timer for one parent
@@ -588,17 +582,21 @@ func (c *Controller) xRecordDecision(rec *txn.Txn, timeout bool) error {
 }
 
 // xFanOutDecides delivers the recorded decision to every child the
-// ledger shows prepared (aborted voters are already terminal; started
-// and terminal children have the decision already). eager marks the
-// first fan-out, straight after the durable decision write: on the fast
-// path remote participants are then SKIPPED — each armed a watch on the
-// parent record at vote time and reads the decision off the write
-// itself (the piggyback). Re-deliveries (deadline, recovery, wound
-// advance) pass eager=false and send real notices, covering any
-// participant whose watch died with a crash.
+// ledger shows prepared, and an abort also to children a wound released
+// (aborted voters are already terminal; started and terminal children
+// have the decision already). eager marks the first fan-out, straight
+// after the durable decision write: on the fast path remote
+// participants are then SKIPPED — each armed a watch on the parent
+// record at vote time and reads the decision off the write itself (the
+// piggyback). Re-deliveries (deadline, recovery) pass eager=false and
+// send real notices, covering any participant whose watch died with a
+// crash.
 func (c *Controller) xFanOutDecides(rec *txn.Txn, eager bool) {
 	for k, ref := range rec.Children {
-		if ref.State != txn.StatePrepared {
+		// A child whose prepare a wound released waits in its todoQ with
+		// no vote on the ledger; an abort must reach it there too.
+		released := rec.Decision == txn.DecisionAbort && ref.State == "" && ref.Retracted > 0
+		if ref.State != txn.StatePrepared && !released {
 			continue
 		}
 		if eager && c.xFastPath() && ref.Shard != c.cfg.XShard.Self {
@@ -624,7 +622,7 @@ func (c *Controller) xSendDecide(rec *txn.Txn, k int) {
 		msg.Error, msg.Code = rec.Error, rec.Code
 	}
 	if c.xFastPath() && ref.Shard == c.cfg.XShard.Self {
-		if _, tracked := c.prepared[ref.ID]; !tracked {
+		if _, tracked := c.prepared[ref.ID]; !tracked && c.todoIndex(ref.ID) < 0 {
 			// Already applied (e.g. the inline piggyback staged it into
 			// the decision round) — a delivery would just be consumed.
 			return
@@ -737,9 +735,8 @@ func (c *Controller) xFinalizeParent(rec *txn.Txn) error {
 		}
 	}
 	// Stats are NOT counted here: finalization may be staged into a
-	// grouped Multi whose flush can fail and replay through the per-item
-	// fallback — the caller counts via xCountParent only after the
-	// terminal write is durable.
+	// grouped Multi whose flush can fail and replay — the caller counts
+	// via xCountParent only after the terminal write is durable.
 	return rec.Transition(outcome)
 }
 
@@ -801,6 +798,11 @@ func (c *Controller) xApplyVote(rec *txn.Txn, msg proto.InputMsg) (eff xEffects,
 		return eff, false, nil
 	}
 	ref := &rec.Children[k]
+	if vote == txn.StatePrepared && ref.Retracted > 0 && msg.Attempt <= ref.Retracted {
+		// A vote from a prepare a wound retracted (xWound): the child
+		// released it and votes again from its next attempt.
+		return eff, true, nil
+	}
 	if ref.State == "" || (ref.State == txn.StatePrepared && vote.Terminal()) {
 		if ref.State == "" {
 			// First word from this participant: one prepare round trip.
@@ -847,50 +849,18 @@ func (c *Controller) xPostVote(rec *txn.Txn, eff xEffects) {
 	}
 }
 
-// xVote processes one participant vote on the coordinator directly:
-// record it in the parent's ledger atomically with consuming the
-// notice, decide once the last vote lands, and free latecomers prepared
-// after an abort decision. (The hot path is stageXVote, which commits
-// the same write inside the round's grouped Multi; this is its per-item
-// fallback and the unstaged path.)
-func (c *Controller) xVote(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	eff, ok, err := c.xApplyVote(rec, msg)
-	if err != nil {
-		return err
-	}
-	if !ok || !eff.changed {
-		if err := c.noticeRemove(itemPath); err != nil {
-			return err
-		}
-		c.xPostVote(rec, eff)
-		return nil
-	}
-	ops := append(c.noticeRemoveOps(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
-	if err := c.cli.Multi(ops...); err != nil {
-		return err
-	}
-	c.xPostVote(rec, eff)
-	return nil
-}
-
-// stageXVote is the batched vote path: the ledger write and notice
-// consumption join the round's grouped Multi; fan-outs run post-flush.
-// A second message touching the same parent this round stays queued for
-// the next drain (the staged-path discipline shared with stageAccept).
+// stageXVote processes one participant vote on the coordinator: the
+// ledger write (and the durable decision, when this vote completes the
+// set) joins the round's grouped Multi with consuming the notice;
+// fan-outs and latecomer aborts run post-flush. A second message
+// touching the same parent this round stays queued for the next drain
+// (the staged-path discipline shared with stageAccept).
 func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
 			// Local message colliding with an already-staged parent write:
-			// requeue in memory for the next round (the staged-path
-			// discipline; a store-queued item just stays queued).
+			// requeue in memory for the next round (a store-queued item
+			// just stays queued).
 			c.enqueueLocal(msg)
 		}
 		return nil
@@ -898,11 +868,7 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			if itemPath == "" {
-				return nil
-			}
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage(c.noticeRemoveOps(itemPath), nil)
 			return nil
 		}
 		return err
@@ -913,14 +879,12 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 	}
 	if !ok || !eff.changed {
 		if itemPath == "" {
-			// Nothing to persist and no notice to consume: flushRound skips
-			// op-less stages, so run the effects directly.
+			// Nothing to persist and no notice to consume: a round without
+			// ops never flushes, so run the effects directly.
 			c.xPostVote(rec, eff)
 			return nil
 		}
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)},
-			func() { c.xPostVote(rec, eff) },
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, func() { c.xPostVote(rec, eff) })
 		return nil
 	}
 	if eff.decided {
@@ -937,7 +901,6 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 		append(c.noticeRemoveOps(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version)),
 		func() { c.xPostVote(rec, eff) },
-		func() error { return c.xVote(msg, itemPath) },
 	)
 	return nil
 }
@@ -945,9 +908,9 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 // stageXDecideLocal stages the decision apply for any coordinator-local
 // prepared child into the round that is about to write the parent's
 // durable decision (stageXVote's decided branch). Delivery is
-// Via="inline": if the shared Multi fails, the child stage only unwinds
-// its in-memory transition — the vote stage's own fallback (xVote →
-// xPostVote → eager fan-out) redelivers the decision once it IS durable.
+// Via="inline": if the shared Multi fails, the child's stage only undoes
+// its in-memory transition — the vote itself replays (its notice is
+// still queued) and decides, and delivers, again.
 func (c *Controller) stageXDecideLocal(r *round, rec *txn.Txn) error {
 	if !c.xFastPath() {
 		return nil
@@ -999,37 +962,10 @@ func (c *Controller) xApplyChildDone(rec *txn.Txn, msg proto.InputMsg) (changed,
 	return changed, finalized, nil
 }
 
-// xChildDone records a child's terminal outcome on the coordinator
-// directly (stageXChildDone's per-item fallback and the unstaged path).
-func (c *Controller) xChildDone(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	changed, finalized, err := c.xApplyChildDone(rec, msg)
-	if err != nil {
-		return err
-	}
-	if !changed {
-		return c.noticeRemove(itemPath)
-	}
-	ops := append(c.noticeRemoveOps(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
-	if err := c.cli.Multi(ops...); err != nil {
-		return err
-	}
-	if finalized {
-		c.xCountParent(rec)
-	}
-	return nil
-}
-
-// stageXChildDone is the batched child-done path: ledger write (and,
-// when it completes the set, the parent's terminal transition) inside
-// the round's grouped Multi.
+// stageXChildDone records a child's terminal outcome on the coordinator:
+// the ledger write (and, when it completes the set, the parent's
+// terminal transition) rides the round's grouped Multi with consuming
+// the notice.
 func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
@@ -1040,11 +976,7 @@ func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath stri
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			if itemPath == "" {
-				return nil
-			}
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage(c.noticeRemoveOps(itemPath), nil)
 			return nil
 		}
 		return err
@@ -1054,11 +986,7 @@ func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath stri
 		return err
 	}
 	if !changed {
-		if itemPath == "" {
-			return nil
-		}
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage(c.noticeRemoveOps(itemPath), nil)
 		return nil
 	}
 	r.staged[msg.TxnPath] = true
@@ -1070,7 +998,6 @@ func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath stri
 		append(c.noticeRemoveOps(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version)),
 		after,
-		func() error { return c.xChildDone(msg, itemPath) },
 	)
 	return nil
 }
@@ -1100,32 +1027,6 @@ func (c *Controller) xTimeout(msg proto.InputMsg, itemPath string) error {
 			c.inputQ.RemoveOp(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
 		)
-	})
-}
-
-// xAdvance processes an advance nudge for a parent — enqueued by a
-// wound-wait aborter after it CAS-wrote an abort decision into the
-// parent record from another shard. The nudge makes the coordinator
-// notice the foreign write now (sync the ledger, deliver the abort to
-// prepared children, finalize) instead of at its next deadline.
-func (c *Controller) xAdvance(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	if rec.State.Terminal() || !rec.IsParent() {
-		return c.noticeRemove(itemPath)
-	}
-	return c.xAdvanceParent(rec, c.xSyncLedger(rec), false, func(changed bool) error {
-		if !changed {
-			return c.noticeRemove(itemPath)
-		}
-		ops := append(c.noticeRemoveOps(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
-		return c.cli.Multi(ops...)
 	})
 }
 
@@ -1210,6 +1111,9 @@ func (c *Controller) xSyncLedger(rec *txn.Txn) (changed bool) {
 		if child.State != txn.StatePrepared && !child.State.Terminal() {
 			continue
 		}
+		if child.State == txn.StatePrepared && ref.Retracted > 0 && prepareAttempt(child) <= ref.Retracted {
+			continue // a retracted prepare the child has yet to release
+		}
 		if ref.State != child.State {
 			ref.State, ref.Error, ref.Code = child.State, child.Error, child.Code
 			changed = true
@@ -1274,6 +1178,9 @@ func (c *Controller) xSendVote(t *txn.Txn) {
 		Error:      t.Error,
 		Code:       t.Code,
 	}
+	if t.State == txn.StatePrepared {
+		msg.Attempt = prepareAttempt(t)
+	}
 	if coord == x.Self && c.xFastPath() {
 		c.enqueueLocal(msg)
 		return
@@ -1281,24 +1188,28 @@ func (c *Controller) xSendVote(t *txn.Txn) {
 	c.xSendMsg(coord, msg, "vote for "+t.ID)
 }
 
-// stagedVote is one coordinator-local yes-vote folded into a grouped
-// admission flush (xStageLocalVotes): the parent record with the vote
-// applied and the effects to run once the flush is durable.
+// stagedVote is one coordinator-local yes-vote folded into a round's
+// admissions (xStageLocalVotes): the parent record with the vote
+// applied, the ledger write to stage, and the effects to run once the
+// flush is durable.
 type stagedVote struct {
+	ops []store.Op
 	rec *txn.Txn
 	eff xEffects
 }
 
 // xStageLocalVotes folds the yes-vote of every coordinator-local
-// prepared child in the admission batch into the batch's own Multi:
+// prepared child in the round's admissions into the round's own Multi:
 // the parent-ledger vote write commits atomically with the child's
-// durable prepare, so the local vote costs no separate store commit
-// and no extra leader round. Returns the applied votes keyed by child
-// ID (the caller tracks those children directly and skips the message
-// vote, then runs each vote's post-flush effects). On a failed flush
-// the mutated parent copies are simply discarded — the per-item replay
-// path re-reads the records and votes by message as before.
-func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[string]*stagedVote {
+// durable prepare, so the local vote costs no separate store commit and
+// no extra leader round. Returns the applied votes keyed by child ID,
+// with the ops the caller stages (the caller tracks those children
+// directly and skips the message vote, then runs each vote's post-flush
+// effects). A parent whose record already has a write staged in this
+// round is skipped — its child votes by message — as is any parent that
+// cannot be read. On a failed flush the mutated parent copies are simply
+// discarded; the unwound children re-prepare and vote again.
+func (c *Controller) xStageLocalVotes(r *round, pending []*txn.Txn) map[string]*stagedVote {
 	if !c.xFastPath() {
 		return nil
 	}
@@ -1317,6 +1228,9 @@ func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[s
 			continue
 		}
 		parentPath := proto.TxnsPath + "/" + parentLocal
+		if r.staged[parentPath] {
+			continue
+		}
 		rec, stat, err := c.loadTxn(parentPath)
 		if err != nil {
 			continue // vote by message instead
@@ -1326,18 +1240,21 @@ func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[s
 			TxnPath:    parentPath,
 			ChildIndex: k,
 			Outcome:    string(t.State),
+			Attempt:    prepareAttempt(t),
 		}
 		eff, applied, err := c.xApplyVote(rec, msg)
 		if err != nil || !applied {
 			continue
 		}
+		v := &stagedVote{rec: rec, eff: eff}
 		if eff.changed {
-			*ops = append(*ops, store.SetOp(parentPath, rec.Encode(), stat.Version))
+			r.staged[parentPath] = true
+			v.ops = []store.Op{store.SetOp(parentPath, rec.Encode(), stat.Version)}
 		}
 		if votes == nil {
 			votes = make(map[string]*stagedVote)
 		}
-		votes[t.ID] = &stagedVote{rec: rec, eff: eff}
+		votes[t.ID] = v
 	}
 	return votes
 }
@@ -1406,61 +1323,15 @@ func (c *Controller) stageXChildDoneLocal(r *round, t *txn.Txn) bool {
 	return true
 }
 
-// xDecide applies a coordinator decision to a prepared child: commit
-// promotes it to started and enqueues it to phyQ atomically with
-// consuming the notice (the only path by which a cross-shard child
-// enters phyQ, so physical execution stays exactly-once); abort rolls
-// its simulation back and releases its locks.
-func (c *Controller) xDecide(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	if rec.State != txn.StatePrepared {
-		// Late or duplicate delivery: the child already moved on.
-		return c.noticeRemove(itemPath)
-	}
-	t, ok := c.prepared[rec.ID]
-	if !ok {
-		// Prepared on disk but untracked in memory can only mean a bug in
-		// recovery; refusing to act blind keeps the store consistent.
-		c.cfg.Logf("controller %s: decide for untracked prepared child %s", c.cfg.Name, rec.ID)
-		return c.noticeRemove(itemPath)
-	}
-	if msg.Via != "" {
-		// The decision skipped the decide-notice round trip: it rode the
-		// coordinator's own event round ("local") or the vote-ack watch on
-		// the parent record ("ack").
-		c.met.xPiggy.Inc()
-		t.DecisionVia = msg.Via
-	}
-	switch msg.Decision {
-	case txn.DecisionCommit:
-		return c.xPromotePrepared(t, stat.Version, c.noticeRemoveOps(itemPath)...)
-	case txn.DecisionAbort:
-		errStr, code := msg.Error, msg.Code
-		if errStr == "" {
-			errStr = "cross-shard transaction aborted"
-		}
-		if code == "" {
-			code = string(trerr.XShardPrepareFailed)
-		}
-		return c.xAbortPrepared(t, errStr, code, c.noticeRemoveOps(itemPath)...)
-	default:
-		c.cfg.Logf("controller %s: decide for %s with decision %q", c.cfg.Name, rec.ID, msg.Decision)
-		return c.noticeRemove(itemPath)
-	}
-}
-
-// stageXDecide is the batched form of xDecide for locally-delivered
-// (piggybacked) decisions: the prepared child's promotion — the
-// started-state write and phyQ enqueue — or its abort rides the round's
-// grouped Multi, so decisions for many transactions share one store
-// commit instead of paying one each. A failed flush unwinds the
-// in-memory transition and replays through the direct path.
+// stageXDecide applies a coordinator decision to a prepared child:
+// commit promotes it to started and enqueues it to phyQ (the only path
+// by which a cross-shard child enters phyQ, so physical execution stays
+// exactly-once); abort persists its terminal state, and only once that
+// is durable rolls its simulation back and releases its locks. Either
+// write rides the round's grouped Multi with consuming the notice, so
+// decisions for many transactions share one store commit. A failed
+// flush undoes the in-memory transition; the decision replays from its
+// notice or local message.
 func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
@@ -1471,33 +1342,49 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			if itemPath == "" {
-				return nil
-			}
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage(c.noticeRemoveOps(itemPath), nil)
 			return nil
 		}
 		return err
 	}
+	if msg.Decision == txn.DecisionAbort && rec.State == txn.StateAccepted {
+		if i := c.todoIndex(rec.ID); i >= 0 {
+			// A child whose retracted prepare was released (xWound) waits in
+			// todoQ again: the abort ends it there, and its terminal write
+			// doubles as the no-vote that completes the parent's ledger.
+			t := c.todo[i]
+			c.todo = append(c.todo[:i], c.todo[i+1:]...)
+			r.staged[msg.TxnPath] = true
+			r.stage(c.noticeRemoveOps(itemPath), nil)
+			c.abortQueued(t, xAbortReason(msg), r)
+			return nil
+		}
+	}
 	t, tracked := c.prepared[rec.ID]
 	if rec.State != txn.StatePrepared || !tracked ||
 		(msg.Decision != txn.DecisionCommit && msg.Decision != txn.DecisionAbort) {
-		// Late, duplicate, malformed, or untracked: consume without acting
-		// (the direct path's logging cases).
-		if rec.State == txn.StatePrepared && !tracked {
-			c.cfg.Logf("controller %s: decide for untracked prepared child %s", c.cfg.Name, rec.ID)
+		// Late or duplicate delivery (the child already moved on) or a
+		// malformed decision: consume without acting. Prepared on disk
+		// but untracked in memory can only mean a bug in recovery;
+		// refusing to act blind keeps the store consistent.
+		if rec.State == txn.StatePrepared {
+			c.cfg.Logf("controller %s: decide %q for prepared child %s (tracked %v) ignored",
+				c.cfg.Name, msg.Decision, rec.ID, tracked)
 		}
-		if itemPath == "" {
-			return nil
-		}
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage(c.noticeRemoveOps(itemPath), nil)
 		return nil
 	}
+	via := t.DecisionVia
 	if msg.Via != "" {
-		c.met.xPiggy.Inc()
+		// The decision skipped the decide-notice round trip: it rode the
+		// coordinator's own event round ("local", "inline") or the
+		// vote-ack watch on the parent record ("ack").
 		t.DecisionVia = msg.Via
+	}
+	piggy := func() {
+		if msg.Via != "" {
+			c.met.xPiggy.Inc()
+		}
 	}
 	if msg.Decision == txn.DecisionCommit {
 		if err := t.Transition(txn.StateStarted); err != nil {
@@ -1510,32 +1397,19 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 				store.SetOp(txnPath, t.Encode(), stat.Version),
 				c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode())),
 			func() {
+				piggy()
 				delete(c.prepared, t.ID)
 				c.inFlight[t.ID] = t
 			},
-			func() error {
-				if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateStarted {
-					t.History = t.History[:n-1]
-				}
-				t.State = txn.StatePrepared
-				if msg.Via == "inline" {
-					// The decision write shared this round and may not be
-					// durable: the vote stage's own fallback redelivers.
-					return nil
-				}
-				return c.xDecide(msg, itemPath)
-			},
 		)
+		r.undo = append(r.undo, func() {
+			revert(t, txn.StatePrepared)
+			t.DecisionVia = via
+		})
 		return nil
 	}
-	errStr, code := msg.Error, msg.Code
-	if errStr == "" {
-		errStr = "cross-shard transaction aborted"
-	}
-	if code == "" {
-		code = string(trerr.XShardPrepareFailed)
-	}
-	t.Error, t.Code = errStr, code
+	reason := xAbortReason(msg)
+	t.Error, t.Code = reason.Error(), string(reason.Code)
 	if err := t.Transition(txn.StateAborted); err != nil {
 		t.Error, t.Code = "", ""
 		return err
@@ -1545,6 +1419,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 		append(c.noticeRemoveOps(itemPath),
 			store.SetOp(c.txnPath(t.ID), t.Encode(), -1)),
 		func() {
+			piggy()
 			c.rollbackTimed(t.ID, t.Log)
 			c.locks.ReleaseAll(t.ID)
 			delete(c.prepared, t.ID)
@@ -1554,82 +1429,48 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 			c.resched = true
 			c.xSendChildDone(t)
 		},
-		func() error {
-			if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
-				t.History = t.History[:n-1]
-			}
-			t.State = txn.StatePrepared
-			t.Error, t.Code = "", ""
-			if msg.Via == "inline" {
-				return nil // vote-stage fallback redelivers (see commit branch)
-			}
-			return c.xDecide(msg, itemPath)
-		},
 	)
+	r.undo = append(r.undo, func() {
+		revert(t, txn.StatePrepared)
+		t.Error, t.Code, t.DecisionVia = "", "", via
+	})
 	return nil
 }
 
-// xPromotePrepared moves a prepared child into physical execution:
-// started-state write and phyQ enqueue in one Multi (plus any extra
-// ops, e.g. the decide-notice removal). On failure the transition is
-// unwound in memory and the caller retries.
-func (c *Controller) xPromotePrepared(t *txn.Txn, version int32, extra ...store.Op) error {
-	if err := t.Transition(txn.StateStarted); err != nil {
-		return err
+// xAbortReason is the error an abort decision carries to its child.
+func xAbortReason(msg proto.InputMsg) *trerr.Error {
+	errStr, code := msg.Error, msg.Code
+	if errStr == "" {
+		errStr = "cross-shard transaction aborted"
 	}
-	txnPath := c.txnPath(t.ID)
-	ops := append(extra,
-		store.SetOp(txnPath, t.Encode(), version),
-		c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode()),
-	)
-	if err := c.cli.Multi(ops...); err != nil {
-		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateStarted {
-			t.History = t.History[:n-1]
-		}
-		t.State = txn.StatePrepared
-		return err
+	if code == "" {
+		code = string(trerr.XShardPrepareFailed)
 	}
-	delete(c.prepared, t.ID)
-	c.inFlight[t.ID] = t
-	return nil
+	return trerr.New(trerr.Code(code), errStr)
 }
 
-// xAbortPrepared aborts a prepared child: the terminal state is
-// persisted first (with any extra ops), and only then are the logical
-// rollback and lock release applied — the same persist-before-rollback
-// discipline as cleanup. The coordinator is notified afterwards.
-func (c *Controller) xAbortPrepared(t *txn.Txn, errStr, code string, extra ...store.Op) error {
-	t.Error, t.Code = errStr, code
-	if err := t.Transition(txn.StateAborted); err != nil {
-		return err
-	}
-	ops := append(extra, store.SetOp(c.txnPath(t.ID), t.Encode(), -1))
-	if err := c.cli.Multi(ops...); err != nil {
-		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
-			t.History = t.History[:n-1]
+// todoIndex returns the todoQ position of the transaction with the given
+// id, or -1.
+func (c *Controller) todoIndex(id string) int {
+	for i, t := range c.todo {
+		if t.ID == id {
+			return i
 		}
-		t.State = txn.StatePrepared
-		t.Error, t.Code = "", ""
-		return err
 	}
-	c.rollbackTimed(t.ID, t.Log)
-	c.locks.ReleaseAll(t.ID)
-	delete(c.prepared, t.ID)
-	c.countStage(&c.stats.Aborted, "aborted")
-	c.xSendChildDone(t)
-	return nil
+	return -1
 }
 
 // --- Recovery ---------------------------------------------------------
 
 // xResolveInDoubt resolves one recovered prepared child by consulting
 // the coordinator record — the §2.3 recovery protocol extended across
-// shards. Commit decisions promote the child into phyQ (it was never
-// enqueued: prepared children enter phyQ only via promotion, so
-// execution stays exactly-once across the failover); abort decisions
-// roll it back; an undecided parent gets the vote re-sent and keeps the
-// child prepared, locks held, until the coordinator decides.
-func (c *Controller) xResolveInDoubt(t *txn.Txn) {
+// shards. A recorded decision is staged into the recovery round through
+// stageXDecide, like any delivered one: commit promotes the child into
+// phyQ (it was never enqueued: prepared children enter phyQ only via
+// promotion, so execution stays exactly-once across the failover) and
+// abort rolls it back. An undecided parent gets the vote re-sent and
+// keeps the child prepared, locks held, until the coordinator decides.
+func (c *Controller) xResolveInDoubt(r *round, t *txn.Txn) {
 	x := c.cfg.XShard
 	if x == nil {
 		c.cfg.Logf("controller %s: prepared child %s without cross-shard config", c.cfg.Name, t.ID)
@@ -1646,6 +1487,12 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 		c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
 		return
 	}
+	decide := func(msg proto.InputMsg) {
+		msg.Kind, msg.TxnPath = proto.KindXDecide, c.txnPath(t.ID)
+		if err := c.stageXDecide(r, msg, ""); err != nil {
+			c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
+		}
+	}
 	data, _, err := cli.Get(proto.TxnsPath + "/" + parentLocal)
 	if errors.Is(err, store.ErrNoNode) {
 		// A prepared child always has a coordinator record (the parent is
@@ -1653,9 +1500,8 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 		// is unreachable state — abort rather than hold locks forever.
 		c.cfg.Logf("controller %s: in-doubt child %s has no coordinator record %s; aborting",
 			c.cfg.Name, t.ID, t.Parent)
-		if aerr := c.xAbortPrepared(t, "coordinator record missing", string(trerr.XShardPrepareFailed)); aerr != nil {
-			c.cfg.Logf("controller %s: abort in-doubt %s: %v", c.cfg.Name, t.ID, aerr)
-		}
+		decide(proto.InputMsg{Decision: txn.DecisionAbort, Error: "coordinator record missing",
+			Code: string(trerr.XShardPrepareFailed)})
 		return
 	}
 	if err != nil {
@@ -1672,21 +1518,19 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 	}
 	switch parent.Decision {
 	case txn.DecisionCommit:
-		if err := c.xPromotePrepared(t, -1); err != nil {
-			c.cfg.Logf("controller %s: promote in-doubt %s: %v", c.cfg.Name, t.ID, err)
-		}
+		decide(proto.InputMsg{Decision: txn.DecisionCommit})
 	case txn.DecisionAbort:
-		errStr, code := parent.Error, parent.Code
-		if errStr == "" {
-			errStr = "cross-shard transaction aborted"
-		}
-		if code == "" {
-			code = string(trerr.XShardPrepareFailed)
-		}
-		if err := c.xAbortPrepared(t, errStr, code); err != nil {
-			c.cfg.Logf("controller %s: abort in-doubt %s: %v", c.cfg.Name, t.ID, err)
-		}
+		decide(proto.InputMsg{Decision: txn.DecisionAbort, Error: parent.Error, Code: parent.Code})
 	default:
+		if _, k, ok := shard.ParseChildID(t.ID); ok && k < len(parent.Children) &&
+			parent.Children[k].Retracted >= prepareAttempt(t) {
+			// A wound retracted this prepare's vote before the old leader
+			// released it: release it now.
+			if err := c.stageXRelease(r, t); err != nil {
+				c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
+			}
+			return
+		}
 		// Undecided: hold the prepare (locks and all) and re-vote — the
 		// old leader's vote may never have left this shard. On the fast
 		// path, re-arm the decision watch too (the old leader's died with
@@ -1786,38 +1630,72 @@ func (c *Controller) xOrderChildren() {
 // this is a lock-order inversion that local ordering could not prevent
 // — the younger transaction won its locks on this shard before the
 // older one arrived. Waiting resolves nothing (the younger one's own
-// prepare is blocked on another shard by the older one), so wound it:
-// abort the younger transaction at its coordinator, freeing its locks
-// everywhere within one message round instead of an indoubt-timeout
-// window. Holders that are merely in-flight (already executing) finish
-// on their own; only prepared holders — parked awaiting a decision —
-// can deadlock.
-func (c *Controller) xMaybeWound(t *txn.Txn, reqs []lock.Request) {
+// prepare may be blocked on another shard by the older one), so wound
+// it: retract its vote and release its prepare here, within one
+// message round instead of an indoubt-timeout window. Holders that are
+// merely in-flight (already executing) finish on their own; only
+// prepared holders — parked awaiting a decision — can deadlock. A
+// younger holder whose prepare is staged in this very round is not
+// tracked yet; the round then asks for a scheduling pass after its
+// flush, so the wound is not left waiting for an input event.
+func (c *Controller) xMaybeWound(r *round, t *txn.Txn, reqs []lock.Request) {
 	for _, conflict := range c.locks.Conflicts(t.ID, reqs) {
-		victim, ok := c.prepared[conflict.Holder]
-		if !ok || !shard.PrepareLess(t.ID, conflict.Holder) {
+		if !shard.PrepareLess(t.ID, conflict.Holder) {
 			continue
 		}
-		c.xWound(t.ID, victim)
+		if victim, ok := c.prepared[conflict.Holder]; ok {
+			c.xWound(t.ID, victim)
+			continue
+		}
+		for _, a := range r.admitted {
+			if a.ID == conflict.Holder && a.State == txn.StatePrepared {
+				r.stage(nil, func() { c.resched = true })
+				break
+			}
+		}
 	}
 }
 
-// xWound aborts the (younger) victim's cross-shard transaction by
-// CAS-writing an abort decision into its parent record on the
-// coordinator shard, then nudging that coordinator's inputQ to act on
-// it now. The write targets the PARENT, never the prepared child: a
-// prepared child may only abort on a durable parent decision, and the
-// CAS (give up if a decision exists or the parent left accepted)
-// guarantees we never overwrite a commit. The coordinator's own staged
-// writes lose the version race and fall back through a re-read that
-// sees the abort. Asynchronous and best-effort — a lost wound costs the
-// indoubt-timeout window, never correctness.
+// prepareAttempt numbers a child's current (or latest) prepare: the
+// prepared stamps in its history. A wound's retraction names the
+// attempt it voids, so a vote from a released prepare can never count
+// for the child's next one.
+func prepareAttempt(t *txn.Txn) int {
+	n := 0
+	for _, st := range t.History {
+		if st.State == txn.StatePrepared {
+			n++
+		}
+	}
+	return n
+}
+
+// xWound retracts the (younger) victim child's yes-vote at its
+// coordinator, so the victim can release its prepare here and let the
+// older transaction through: a CAS on the parent record that clears the
+// victim's ledger entry and marks its current prepare attempt retracted
+// (txn.ChildRef.Retracted) — only while the parent is undecided, so a
+// retraction never races a commit that counted the vote (the
+// coordinator's own staged writes lose the version race and replay
+// against the retracted ledger). Once the retraction is durable the
+// leader loop releases the prepare (stageXRetract): the child rolls
+// back, frees its locks and re-enters todoQ behind the older
+// transaction, preparing and voting again with its next attempt. The
+// wounded transaction thus waits instead of aborting. Asynchronous and
+// best-effort — a lost wound costs the prepare-deadline window, never
+// correctness.
 func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
 	x := c.cfg.XShard
 	coord, parentLocal, ok := shard.ParseID(victim.Parent, x.Router.Shards())
 	if !ok {
 		return
 	}
+	_, k, ok := shard.ParseChildID(victim.ID)
+	if !ok {
+		return
+	}
+	attempt := prepareAttempt(victim)
+	release := proto.InputMsg{Kind: proto.KindXRetract, TxnPath: c.txnPath(victim.ID), Attempt: attempt}
 	parentPath := proto.TxnsPath + "/" + parentLocal
 	c.wmu.Lock()
 	if c.wounding == nil {
@@ -1853,23 +1731,25 @@ func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
 			if err != nil {
 				return
 			}
-			if parent.Decision != "" || parent.State != txn.StateAccepted {
+			if parent.Decision != "" || parent.State != txn.StateAccepted || k >= len(parent.Children) {
 				return // already decided (or deciding); nothing to wound
 			}
-			parent.ID = parentLocal
-			parent.Decision = txn.DecisionAbort
-			parent.Error = fmt.Sprintf("wounded by older cross-shard transaction %s", aggressor)
-			parent.Code = string(trerr.XShardWounded)
-			if err := parent.Transition(txn.StateDeciding); err != nil {
+			ref := &parent.Children[k]
+			if ref.Retracted >= attempt {
+				// Retracted already (an earlier wound whose release was
+				// lost with a failed round): just release.
+				c.enqueueLocal(release)
 				return
 			}
-			nudge := proto.InputMsg{Kind: proto.KindXAdvance, TxnPath: parentPath}
-			err = cli.Multi(
-				store.SetOp(parentPath, parent.Encode(), stat.Version),
-				store.CreateOp(proto.InputQPath+"/"+queue.ItemPrefix, nudge.Encode(), store.FlagSequence),
-			)
+			ref.State, ref.Error, ref.Code = "", "", ""
+			ref.Retracted = attempt
+			parent.ID = parentLocal
+			err = cli.Set(parentPath, parent.Encode(), stat.Version)
 			if err == nil {
 				c.met.xWounds.Inc()
+				c.cfg.Logf("controller %s: %s wounded %s (prepare attempt %d retracted)",
+					c.cfg.Name, aggressor, victim.ID, attempt)
+				c.enqueueLocal(release)
 				return
 			}
 			if !errors.Is(err, store.ErrBadVersion) {
@@ -1879,6 +1759,56 @@ func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
 			// re-read and re-check.
 		}
 	}()
+}
+
+// stageXRetract releases a prepared child whose vote a wound retracted
+// at the coordinator (xWound). A message for an attempt that is no
+// longer the child's live prepare — it was decided meanwhile, or is
+// already released and prepared again — is dropped.
+func (c *Controller) stageXRetract(r *round, msg proto.InputMsg) error {
+	if r.staged[msg.TxnPath] {
+		c.enqueueLocal(msg)
+		return nil
+	}
+	t, tracked := c.prepared[msg.TxnPath[strings.LastIndexByte(msg.TxnPath, '/')+1:]]
+	if !tracked || t.State != txn.StatePrepared || prepareAttempt(t) != msg.Attempt {
+		return nil
+	}
+	return c.stageXRelease(r, t)
+}
+
+// stageXRelease returns a prepared child whose vote is retracted to
+// initialized and re-accepts it, persisted with its simulation dropped
+// in the round's grouped Multi; once that write is durable its
+// simulation rolls back, its locks free and it rejoins todoQ to prepare
+// again. A failed flush undoes the transitions and the child stays
+// prepared (its retracted vote still cannot count) until the release
+// replays.
+func (c *Controller) stageXRelease(r *round, t *txn.Txn) error {
+	if err := t.Transition(txn.StateInitialized); err != nil {
+		return err
+	}
+	if err := t.Transition(txn.StateAccepted); err != nil {
+		revert(t, txn.StatePrepared)
+		return err
+	}
+	logs := t.Log
+	t.Log = nil
+	path := c.txnPath(t.ID)
+	r.staged[path] = true
+	r.stage([]store.Op{store.SetOp(path, t.Encode(), -1)}, func() {
+		c.rollbackTimed(t.ID, logs)
+		c.locks.ReleaseAll(t.ID)
+		delete(c.prepared, t.ID)
+		c.todo = append(c.todo, t)
+		c.resched = true
+	})
+	r.undo = append(r.undo, func() {
+		revert(t, txn.StateInitialized)
+		revert(t, txn.StatePrepared)
+		t.Log = logs
+	})
+	return nil
 }
 
 // gcReapable guards the terminal-record sweep against breaking 2PC

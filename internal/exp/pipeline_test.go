@@ -26,8 +26,9 @@ func TestPipelineSmoke(t *testing.T) {
 		if res.PerSecond <= 0 || res.StoreCommits <= 0 {
 			t.Fatalf("batch=%d: degenerate result %+v", batch, res)
 		}
-		if batch == 1 && res.InBatches != 0 {
-			t.Fatalf("unbatched run recorded %d drain batches", res.InBatches)
+		if batch == 1 && (res.InBatches == 0 || res.MaxInBatch != 1 || res.InBatchItems != res.InBatches) {
+			t.Fatalf("batch-of-one run drained %d items in %d rounds (max %d per round), want one per round",
+				res.InBatchItems, res.InBatches, res.MaxInBatch)
 		}
 		if batch > 1 {
 			if res.Flushes == 0 || res.InBatches == 0 {

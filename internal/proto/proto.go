@@ -113,11 +113,11 @@ const (
 	// prepare deadline is aborted; a decided one re-delivers its
 	// decision to children still outstanding.
 	KindXTimeout MsgKind = "xtimeout"
-	// KindXAdvance: a peer shard mutated a parent record out of band (a
-	// wound-wait abort decision written by a participant) and asks the
-	// coordinator to advance it now — exactly the deadline check's state
-	// machine, minus the presumed-abort escalation.
-	KindXAdvance MsgKind = "xadvance"
+	// KindXRetract: a participant's wound-wait retracted a prepared
+	// child's yes-vote at the coordinator (TxnPath = child record,
+	// Attempt = the retracted prepare attempt); the child releases that
+	// prepare and is scheduled again. Delivered in memory only.
+	KindXRetract MsgKind = "xretract"
 )
 
 // InputMsg is one inputQ item.
@@ -148,6 +148,10 @@ type InputMsg struct {
 	// ChildIndex identifies which child of a cross-shard parent a
 	// KindXVote/KindXChildDone message concerns.
 	ChildIndex int `json:"childIndex,omitempty"`
+	// Attempt numbers the child's prepare (from 1) a yes-vote or a
+	// KindXRetract concerns, so the coordinator can tell a vote from a
+	// retracted prepare (txn.ChildRef.Retracted) from the current one.
+	Attempt int `json:"attempt,omitempty"`
 	// Decision carries the coordinator's 2PC decision for KindXDecide
 	// (txn.DecisionCommit or txn.DecisionAbort).
 	Decision string `json:"decision,omitempty"`

@@ -184,9 +184,17 @@ func (s *Store) syncLocked() error {
 	if s.active == nil {
 		return nil
 	}
+	return s.fsync(s.active)
+}
+
+// fsync syncs f to stable storage, counting the call and its wall time
+// in Fsyncs/FsyncNanos. Every fsync the store issues goes through here,
+// so the fsync-latency signal covers per-append, group and shutdown
+// syncs alike.
+func (s *Store) fsync(f *os.File) error {
 	s.fsyncs.Inc()
 	start := time.Now()
-	err := s.active.Sync()
+	err := f.Sync()
 	s.fsyncNs.Add(time.Since(start).Nanoseconds())
 	return err
 }
@@ -217,11 +225,7 @@ func (s *Store) syncDir() error {
 		return err
 	}
 	defer d.Close()
-	s.fsyncs.Inc()
-	start := time.Now()
-	err = d.Sync()
-	s.fsyncNs.Add(time.Since(start).Nanoseconds())
-	return err
+	return s.fsync(d)
 }
 
 // sortedMatches lists files in dir matching prefix/suffix, sorted by

@@ -393,3 +393,44 @@ func TestSyncAlwaysCountsFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFsyncNanosCoversEveryFsync checks that each kind of fsync the
+// store issues — per-append under SyncAlways, the group sync closing an
+// AppendNoSync run, and the shutdown Sync — adds to FsyncNanos as well
+// as to Fsyncs.
+func TestFsyncNanosCoversEveryFsync(t *testing.T) {
+	s, err := Open(t.TempDir(), SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StartAppending(1); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"append", func() error { return s.Append(1, []byte("a")) }},
+		{"group", func() error {
+			if err := s.AppendNoSync(2, []byte("b")); err != nil {
+				return err
+			}
+			return s.SyncGroup()
+		}},
+		{"sync", s.Sync},
+	}
+	for _, step := range steps {
+		before := s.Stats()
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		after := s.Stats()
+		if after.Fsyncs <= before.Fsyncs {
+			t.Errorf("%s: Fsyncs %d -> %d, want growth", step.name, before.Fsyncs, after.Fsyncs)
+		}
+		if after.FsyncNanos <= before.FsyncNanos {
+			t.Errorf("%s: FsyncNanos %d -> %d, want growth", step.name, before.FsyncNanos, after.FsyncNanos)
+		}
+	}
+}

@@ -79,8 +79,7 @@ func (s *Store) openSegmentLocked(firstZxid int64) error {
 	}
 	s.bytes.Add(int64(len(walMagic)))
 	if s.policy == SyncAlways {
-		s.fsyncs.Inc()
-		if err := f.Sync(); err != nil {
+		if err := s.fsync(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -122,8 +121,7 @@ func (s *Store) Append(zxid int64, payload []byte) error {
 	s.appends.Inc()
 	s.bytes.Add(int64(len(frame)))
 	if s.policy == SyncAlways {
-		s.fsyncs.Inc()
-		if err := s.active.Sync(); err != nil {
+		if err := s.fsync(s.active); err != nil {
 			return s.fail(fmt.Errorf("persist: wal fsync: %w", err))
 		}
 	}
@@ -168,8 +166,7 @@ func (s *Store) SyncGroup() error {
 	if s.policy != SyncAlways || s.active == nil {
 		return nil
 	}
-	s.fsyncs.Inc()
-	if err := s.active.Sync(); err != nil {
+	if err := s.fsync(s.active); err != nil {
 		return s.fail(fmt.Errorf("persist: wal group fsync: %w", err))
 	}
 	return nil

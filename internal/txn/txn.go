@@ -172,6 +172,11 @@ type ChildRef struct {
 	// parent's own Error/Code when the parent finalizes.
 	Error string `json:"error,omitempty"`
 	Code  string `json:"code,omitempty"`
+	// Retracted is the child's last prepare attempt (counting from 1)
+	// whose yes-vote wound-wait retracted; 0 if none was. Votes from that
+	// attempt or earlier are stale: the child released that prepare and
+	// votes again from its next one.
+	Retracted int `json:"retracted,omitempty"`
 }
 
 // IsParent reports whether t is a cross-shard parent (coordinator)
@@ -236,14 +241,16 @@ func DecodeSignal(data []byte) (Signal, error) {
 
 // validTransitions enumerates the Figure 2 edges plus the cross-shard
 // extensions: children may leave accepted/deferred into prepared (vote
-// yes, locks held), then either start (commit decision) or abort (abort
-// decision); parents move accepted → deciding when the 2PC decision is
+// yes, locks held), then either start (commit decision), abort (abort
+// decision), or — once the coordinator has durably retracted their vote
+// (wound-wait) — return to initialized and be re-accepted for a fresh
+// prepare; parents move accepted → deciding when the 2PC decision is
 // durably recorded and finalize from there.
 var validTransitions = map[State][]State{
 	StateInitialized: {StateAccepted},
 	StateAccepted:    {StateStarted, StateAborted, StateDeferred, StatePrepared, StateDeciding},
 	StateDeferred:    {StateStarted, StateAborted, StateDeferred, StatePrepared},
-	StatePrepared:    {StateStarted, StateAborted},
+	StatePrepared:    {StateStarted, StateAborted, StateInitialized},
 	StateDeciding:    {StateCommitted, StateAborted, StateFailed},
 	StateStarted:     {StateCommitted, StateAborted, StateFailed},
 }

@@ -144,6 +144,9 @@ func TestCrossShardLifecycles(t *testing.T) {
 		{StateAccepted, StateDeferred, StatePrepared, StateAborted},
 		// Child: commit decision but physical failure.
 		{StateAccepted, StatePrepared, StateStarted, StateFailed},
+		// Child: a wound retracts its vote; it is re-accepted, prepares
+		// again and commits.
+		{StateAccepted, StatePrepared, StateInitialized, StateAccepted, StatePrepared, StateStarted, StateCommitted},
 		// Parent: decision recorded, all children committed.
 		{StateAccepted, StateDeciding, StateCommitted},
 		// Parent: abort decision (prepare failure or in-doubt timeout).

@@ -112,8 +112,9 @@ func TestBatchedSubmitLifecycle(t *testing.T) {
 	}
 }
 
-// TestUnbatchedSubmitStillWorks pins the legacy per-item path that the
-// ablation benchmarks depend on.
+// TestUnbatchedSubmitStillWorks pins the batch-of-one pipeline that the
+// ablation benchmarks depend on: BatchMaxOps=1 runs the same staged
+// rounds as the batched default, each draining exactly one item.
 func TestUnbatchedSubmitStillWorks(t *testing.T) {
 	p := minimalPlatform(t, 1)
 	cli := p.Client()
@@ -128,7 +129,8 @@ func TestUnbatchedSubmitStillWorks(t *testing.T) {
 	if rec.State != tropic.StateCommitted {
 		t.Fatalf("state = %s (%s)", rec.State, rec.Error)
 	}
-	if st := p.ControllerStats(); st.InBatches != 0 {
-		t.Fatalf("unbatched platform recorded %d drain batches", st.InBatches)
+	if st := p.ControllerStats(); st.InBatches == 0 || st.MaxInBatch != 1 || st.InBatchItems != st.InBatches {
+		t.Fatalf("batch-of-one platform drained %d items in %d rounds (max %d per round), want one per round",
+			st.InBatchItems, st.InBatches, st.MaxInBatch)
 	}
 }

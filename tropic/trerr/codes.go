@@ -123,8 +123,10 @@ var (
 		"cross-shard prepare deadline elapsed before every participant voted; transaction aborted")
 	// XShardWounded: wound-wait resolved a cross-shard lock-order
 	// inversion by aborting this (younger) transaction so an older one
-	// could take its locks immediately, instead of both waiting out the
-	// prepare deadline. Safe to resubmit.
+	// could take its locks immediately. No longer produced: a wound now
+	// retracts the younger transaction's vote and prepares it again, so
+	// it waits instead of aborting. Kept so clients that match on it
+	// still build.
 	XShardWounded = register("xshard.wounded", http.StatusConflict,
 		"aborted by wound-wait: an older cross-shard transaction claimed conflicting locks")
 

@@ -158,13 +158,14 @@ const (
 	XShardFastPathAuto XShardFastPathMode = iota
 	// XShardFastPathEnabled coalesces the 2PC message flow:
 	// coordinator-local children skip the cross-store prepare round,
-	// decisions piggyback on vote acks, per-peer sends batch into one
-	// Multi per event round, and children prepare in a deterministic
-	// global order with wound-wait resolving lock-order inversions.
+	// decisions piggyback on vote acks, and per-peer sends batch into
+	// one Multi per event round.
 	XShardFastPathEnabled
 	// XShardFastPathDisabled restores the one-store-round-trip-per-
 	// message flow — the slow-path ablation the cross-shard overhead
-	// benchmark compares against. Correctness is identical.
+	// benchmark compares against. Correctness is identical: both arms
+	// prepare children in a deterministic global order with wound-wait
+	// resolving lock-order inversions.
 	XShardFastPathDisabled
 )
 
@@ -240,8 +241,9 @@ type Config struct {
 	// flushes their effects — and each scheduling round's admissions —
 	// in single grouped store commits, and workers coalesce up to this
 	// many report operations per commit. 0 selects the default (32);
-	// 1 disables batching entirely, restoring the per-item round-trip
-	// pipeline (kept runnable for the ablation benchmarks).
+	// 1 makes every controller round a batch of one (same staged path,
+	// one grouped commit per item) and turns the client and worker
+	// batchers off — the unbatched arm of the ablation benchmarks.
 	BatchMaxOps int
 	// BatchMaxDelay bounds how long an asynchronously batched store
 	// operation (worker outcome reports) waits for company before its
@@ -283,10 +285,9 @@ type Config struct {
 	// XShardFastPath selects the cross-shard 2PC message flow:
 	// XShardFastPathAuto (the zero value) and XShardFastPathEnabled use
 	// the coalesced fast path (local-child coalescing, piggybacked
-	// decisions, per-peer fan-out batching, deterministic prepare order
-	// with wound-wait); XShardFastPathDisabled restores the
-	// per-message-round-trip slow path, kept runnable for the ablation
-	// benchmarks. See docs/cross-shard.md.
+	// decisions, per-peer fan-out batching); XShardFastPathDisabled
+	// restores the per-message-round-trip slow path, kept runnable for
+	// the ablation benchmarks. See docs/cross-shard.md.
 	XShardFastPath XShardFastPathMode
 	// IdempotencyTTL bounds how long an unfinished idempotency claim
 	// (a submission that crashed between claiming its key and recording
